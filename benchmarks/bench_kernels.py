@@ -14,7 +14,8 @@ import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+sys.path.insert(0, SRC)
 
 from disksurgery._kernels import available_backends, load_backend  # noqa: E402
 from disksurgery.primitivity import enumerate_whitehead_autos  # noqa: E402
@@ -75,7 +76,10 @@ def end_to_end_row(quick):
     max_len = 6 if quick else 8
     results = {}
     for backend in available_backends():
-        env = dict(os.environ, DISKSURGERY_KERNEL=backend)
+        # The child imports this checkout's src/, as the parent does.
+        inherited = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, DISKSURGERY_KERNEL=backend,
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, inherited])))
         out = subprocess.run([sys.executable, "-c", END_TO_END.format(max_len=max_len)],
                              capture_output=True, text=True, check=True, env=env)
         results[backend] = float(out.stdout.strip())

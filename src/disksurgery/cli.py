@@ -107,15 +107,8 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _require_valid_loaded(system) -> None:
-    violations = validate_system(system)
-    if violations:
-        raise InvalidSystemError(violations)
-
-
 def _cmd_surgeries(args) -> int:
     system = _load_for(args)
-    _require_valid_loaded(system)
     for i, outcome in enumerate(all_surgeries(system), start=1):
         cyclic = unoriented_cyclic_class(outcome.boundary_word)
         print(f"[{i}] {outcome.choice.describe()} | piece {outcome.piece}"
@@ -127,7 +120,6 @@ def _cmd_surgeries(args) -> int:
 
 def _cmd_closure(args) -> int:
     system = _load_for(args)
-    _require_valid_loaded(system)
     if args.scenario in BUILTIN_SCENARIOS:
         label = f"{args.scenario} (genus {args.genus})"
     else:

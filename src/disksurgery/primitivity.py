@@ -264,7 +264,7 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int) -> PrimitivityVerdict
     """
     check_rank(rank)
     _check_support(word.letters, rank)
-    current = CyclicWord(word.letters)
+    current = word if isinstance(word, CyclicWord) else CyclicWord(word.letters)
     autos = enumerate_whitehead_autos(rank)
     certificate = []
     while len(current) > 1:
@@ -293,7 +293,7 @@ def oz_rank2_nonprimitive(word: CyclicWord | Word) -> bool:
     generator together with its inverse cannot lie in any free basis of
     the rank-2 free group. Only applicable in rank-2 context.
     """
-    cyclic = CyclicWord(tuple(word.letters))
+    cyclic = word if isinstance(word, CyclicWord) else CyclicWord(word.letters)
     seen = set(cyclic.letters)
     if any(abs(a) > 2 for a in seen):
         raise ValueError("rank-2 test applied to a word with higher generators")
@@ -310,7 +310,7 @@ def is_primitive(word: Word | CyclicWord, rank: int, *, use_oz: bool = True) -> 
     """
     check_rank(rank)
     _check_support(word.letters, rank)
-    cyclic = CyclicWord(tuple(word.letters))
+    cyclic = word if isinstance(word, CyclicWord) else CyclicWord(word.letters)
     if use_oz and cyclic.letters and all(abs(a) <= 2 for a in cyclic.letters):
         if oz_rank2_nonprimitive(cyclic):
             return PrimitivityVerdict(

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .surgery import DiskPairSystem, boundary_word, closure_report
-from .words import format_word, parse_word, unoriented_cyclic_class
+from .surgery import DiskPairSystem, closure_report
+from .words import concat, format_word, parse_word, unoriented_cyclic_class
 
 __all__ = ["OutcomeRow", "Report", "run_report", "render_text", "render_json"]
 
@@ -61,8 +61,8 @@ def _expected_classes(system: DiskPairSystem):
 def run_report(system: DiskPairSystem, label: str = "scenario") -> Report:
     """Boundary words, every surgery outcome with its verdict, closure flags."""
     closure = closure_report(system)
-    word_d = boundary_word(system, "D")
-    word_e = boundary_word(system, "E")
+    word_d = concat(*system.labels_d)
+    word_e = concat(*system.labels_e)
 
     expected = _expected_classes(system)
     rows = []

@@ -229,11 +229,16 @@ def validate_system(system: DiskPairSystem) -> list[Violation]:
     return out
 
 
-def _require_valid(system: DiskPairSystem) -> DiskPairSystem:
+def _require_valid(system: DiskPairSystem) -> None:
     violations = validate_system(system)
     if violations:
         raise InvalidSystemError(violations)
-    return system
+
+
+def _require_intersecting(system: DiskPairSystem) -> None:
+    _require_valid(system)
+    if system.chord_count == 0:
+        raise DisjointDisksError("surgery undefined for disjoint disks")
 
 
 def boundary_word(system: DiskPairSystem, disk: str) -> Word:
@@ -306,69 +311,55 @@ def outermost_choices(system: DiskPairSystem, along: str) -> tuple[SurgeryChoice
     parallel chords one side each.
     """
     _check_disk(along)
-    _require_valid(system)
-    if system.chord_count == 0:
-        raise DisjointDisksError("surgery undefined for disjoint disks")
+    _require_intersecting(system)
     return _outermost_choices(system, along)
-
-
-def _segment_range(order, start, end):
-    n = len(order)
-    i = order.index(start)
-    span = (order.index(end) - i) % n
-    return [(i + step) % n for step in range(span)]
-
-
-def _chords_inside(system, order, segment_positions, chord, start):
-    # Chords other than the cutting one whose endpoints both lie strictly
-    # inside the path; counted per side so the two pieces genuinely
-    # partition the remaining arcs (a validity consequence, not an input).
-    inside = {order[i] for i in segment_positions} - {start}
-    return sum(
-        1 for other in system.chords
-        if other != chord and other[0] in inside and other[1] in inside
-    )
 
 
 def _surger(system: DiskPairSystem, choice: SurgeryChoice) -> tuple[SurgeryOutcome, SurgeryOutcome]:
     along, target = choice.along, choice.target
-    order_along = system.order_of(along)
-    cap_word = system.labels_of(along)[order_along.index(choice.start)]
+    cap_word = system.labels_of(along)[system.order_of(along).index(choice.start)]
 
+    # The chord cuts the target circle into the path of ``span`` segments
+    # from start to end and the complementary path. The matching is
+    # non-crossing, so the points strictly inside a path are matched
+    # among themselves: each piece inherits half of them as arcs.
     order_t = system.order_of(target)
     labels_t = system.labels_of(target)
-    forward = _segment_range(order_t, choice.start, choice.end)
-    backward = _segment_range(order_t, choice.end, choice.start)
-    path_forward = concat(*(labels_t[i] for i in forward))
-    path_backward = concat(*(labels_t[i] for i in backward))
-
-    inherited_forward = _chords_inside(system, order_t, forward, choice.chord, choice.start)
-    inherited_backward = _chords_inside(system, order_t, backward, choice.chord, choice.end)
+    n = len(order_t)
+    i = order_t.index(choice.start)
+    span = (order_t.index(choice.end) - i) % n
+    rotated = labels_t[i:] + labels_t[:i]
 
     # Closing piece C1 walks the cap segment end->start, against its own
     # orientation (it reads start->end on the other circle), so its word
     # is inverted; piece C2 walks it forward.
     first = SurgeryOutcome(
         choice=choice, piece="C1",
-        boundary_word=path_forward * cap_word.inverse(),
-        inherited_chords=inherited_forward,
+        boundary_word=concat(*rotated[:span]) * cap_word.inverse(),
+        inherited_chords=(span - 1) // 2,
     )
     second = SurgeryOutcome(
         choice=choice, piece="C2",
-        boundary_word=path_backward * cap_word,
-        inherited_chords=inherited_backward,
+        boundary_word=concat(*rotated[span:]) * cap_word,
+        inherited_chords=(n - span - 1) // 2,
     )
     return first, second
 
 
 def surger(system: DiskPairSystem, choice: SurgeryChoice) -> tuple[SurgeryOutcome, SurgeryOutcome]:
     """Both disks produced by one outermost choice."""
-    _require_valid(system)
-    if system.chord_count == 0:
-        raise DisjointDisksError("surgery undefined for disjoint disks")
+    _require_intersecting(system)
     if choice not in _outermost_choices(system, choice.along):
         raise SurgeryChoiceError(f"not an outermost choice of this system: {choice}")
     return _surger(system, choice)
+
+
+def _outcomes(system: DiskPairSystem):
+    """Validate once, then yield every outcome in ``all_surgeries`` order."""
+    _require_intersecting(system)
+    for along in ("E", "D"):
+        for choice in _outermost_choices(system, along):
+            yield from _surger(system, choice)
 
 
 def all_surgeries(system: DiskPairSystem) -> tuple[SurgeryOutcome, ...]:
@@ -377,14 +368,7 @@ def all_surgeries(system: DiskPairSystem) -> tuple[SurgeryOutcome, ...]:
     Deterministic order: surgeries on D along E first, choices in
     boundary order, piece C1 before C2.
     """
-    _require_valid(system)
-    if system.chord_count == 0:
-        raise DisjointDisksError("surgery undefined for disjoint disks")
-    outcomes: list[SurgeryOutcome] = []
-    for along in ("E", "D"):
-        for choice in _outermost_choices(system, along):
-            outcomes.extend(_surger(system, choice))
-    return tuple(outcomes)
+    return tuple(_outcomes(system))
 
 
 @dataclass(frozen=True, slots=True)
@@ -422,22 +406,17 @@ def closure_report(system: DiskPairSystem) -> ClosureReport:
     Weak closedness fails for the pair in a direction exactly when that
     direction's ``any_primitive`` is False.
     """
-    _require_valid(system)
-    if system.chord_count == 0:
-        raise DisjointDisksError("surgery undefined for disjoint disks")
+    entries = {surgered: [] for surgered in DISKS}
+    for outcome in _outcomes(system):
+        verdict = is_primitive(outcome.boundary_word, system.rank)
+        entries[outcome.choice.target].append((outcome, verdict))
     reports = {}
-    for surgered in DISKS:
-        along = other_disk(surgered)
-        entries = []
-        for choice in _outermost_choices(system, along):
-            for outcome in _surger(system, choice):
-                verdict = is_primitive(outcome.boundary_word, system.rank)
-                entries.append((outcome, verdict))
-        flags = [verdict.primitive for _, verdict in entries]
+    for surgered, pairs in entries.items():
+        flags = [verdict.primitive for _, verdict in pairs]
         reports[surgered] = DirectionReport(
             surgered=surgered,
-            along=along,
-            entries=tuple(entries),
+            along=other_disk(surgered),
+            entries=tuple(pairs),
             any_primitive=any(flags),
             all_primitive=all(flags),
         )

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from disksurgery import builtin_scenario, render_text, run_report, save_scenario
 from disksurgery.cli import main
 from helpers import DISK_E_WORD, OUTCOME_LONG, OUTCOME_SHORT, single_chord_system
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -141,6 +144,15 @@ class TestClosure:
             "on D along E": False, "on E along D": False}
         assert all(row["oz_fired"] for row in data["outcomes"])
         assert data["deviations"] == []
+
+    @pytest.mark.parametrize("extra, name", [
+        ((), "closure_fig1_genus3.txt"),
+        (("--machine",), "closure_fig1_genus3.json"),
+    ])
+    def test_fig1_report_pinned(self, capsys, extra, name):
+        code, out, _ = run(capsys, "closure", "fig1", "--genus", "3", *extra)
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
     def test_byte_identical_runs(self, capsys):
         _, first, _ = run(capsys, "closure", "fig1", "--genus", "3")

@@ -208,6 +208,18 @@ class TestClosureReport:
                 assert direction.any_primitive or not direction.all_primitive
 
 
+def nested_chords(system, disk, begin, finish):
+    """Chords with both ends strictly inside the path that walks the
+    disk's circle forward from ``begin`` to ``finish``."""
+    order = system.order_of(disk)
+    i = order.index(begin)
+    inside = set()
+    while order[(i + 1) % len(order)] != finish:
+        i = (i + 1) % len(order)
+        inside.add(order[i])
+    return sum(1 for p, q in system.chords if p in inside and q in inside)
+
+
 class TestSurgeryProperties:
     def test_monotone_and_paired(self, rng):
         for _ in range(200):
@@ -219,6 +231,10 @@ class TestSurgeryProperties:
                     assert first.inherited_chords < k
                     assert second.inherited_chords < k
                     assert first.inherited_chords + second.inherited_chords == k - 1
+                    assert first.inherited_chords == nested_chords(
+                        system, choice.target, choice.start, choice.end)
+                    assert second.inherited_chords == nested_chords(
+                        system, choice.target, choice.end, choice.start)
 
     def test_split_conserves_target_word(self, rng):
         for _ in range(200):
