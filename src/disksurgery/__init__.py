@@ -4,84 +4,27 @@ Free-group word algebra, Whitehead-descent primitivity testing with an
 independent orbit-enumeration oracle, a combinatorial model of disk
 surgery on a pair of intersecting disks, and closure reports deciding
 whether surgery on a pair ever yields a primitive disk.
+
+Each module's ``__all__`` lists its public names; this package exports
+their union. Other names stay importable from their modules.
 """
 
+from . import primitivity, report, scenarios, surgery, words
 from ._kernels import BACKEND as KERNEL_BACKEND
-from .primitivity import (
-    DEFAULT_ORACLE_CAP,
-    OracleCapExceeded,
-    PrimitivityVerdict,
-    WhiteheadAuto,
-    apply_auto,
-    apply_auto_cyclic,
-    enumerate_whitehead_autos,
-    is_primitive,
-    oracle_primitives,
-    oz_rank2_nonprimitive,
-    replay_certificate,
-    whitehead_minimize,
-)
-from .report import Report, render_json, render_text, run_report
-from .scenarios import (
-    BUILTIN_SCENARIOS,
-    FIG1_OUTCOME_WORDS,
-    ScenarioFormatError,
-    builtin_scenario,
-    dumps_scenario,
-    load_scenario,
-    loads_scenario,
-    save_scenario,
-)
-from .surgery import (
-    ClosureReport,
-    DirectionReport,
-    DiskPairSystem,
-    DisjointDisksError,
-    InvalidSystemError,
-    SurgeryChoice,
-    SurgeryChoiceError,
-    SurgeryOutcome,
-    Violation,
-    all_surgeries,
-    boundary_word,
-    closure_report,
-    other_disk,
-    outermost_choices,
-    surger,
-    validate_system,
-)
-from .words import (
-    CyclicWord,
-    Word,
-    WordSyntaxError,
-    abelianize,
-    concat,
-    format_letter,
-    format_word,
-    parse_word,
-    unoriented_cyclic_class,
-)
+from .primitivity import *  # noqa: F401,F403
+from .report import *  # noqa: F401,F403
+from .scenarios import *  # noqa: F401,F403
+from .surgery import *  # noqa: F401,F403
+from .words import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "KERNEL_BACKEND",
     "__version__",
-    # words
-    "Word", "CyclicWord", "WordSyntaxError", "parse_word", "format_word",
-    "format_letter", "concat", "abelianize", "unoriented_cyclic_class",
-    # primitivity
-    "WhiteheadAuto", "PrimitivityVerdict", "OracleCapExceeded",
-    "DEFAULT_ORACLE_CAP", "enumerate_whitehead_autos", "apply_auto",
-    "apply_auto_cyclic", "whitehead_minimize", "is_primitive",
-    "oz_rank2_nonprimitive", "oracle_primitives", "replay_certificate",
-    # surgery
-    "DiskPairSystem", "SurgeryChoice", "SurgeryOutcome", "DirectionReport",
-    "ClosureReport", "Violation", "InvalidSystemError", "DisjointDisksError",
-    "SurgeryChoiceError", "other_disk", "validate_system", "boundary_word",
-    "outermost_choices", "surger", "all_surgeries", "closure_report",
-    # scenarios / reports
-    "BUILTIN_SCENARIOS", "FIG1_OUTCOME_WORDS", "ScenarioFormatError",
-    "builtin_scenario", "load_scenario", "loads_scenario", "save_scenario",
-    "dumps_scenario", "Report", "run_report", "render_text", "render_json",
+    *words.__all__,
+    *primitivity.__all__,
+    *surgery.__all__,
+    *scenarios.__all__,
+    *report.__all__,
 ]

@@ -12,8 +12,7 @@ import os
 from . import pyops
 
 _ENV_VAR = "DISKSURGERY_KERNEL"
-_PURE_NAMES = ("pure", "py", "python")
-_COMPILED_NAMES = ("compiled", "c", "ext")
+_BACKENDS = ("pure", "compiled")
 
 
 def _load_compiled():
@@ -24,25 +23,21 @@ def _load_compiled():
 
 def _select():
     choice = os.environ.get(_ENV_VAR, "").strip().lower()
-    if choice in _PURE_NAMES:
-        return pyops
-    if choice in _COMPILED_NAMES:
-        return _load_compiled()
     if choice == "":
         try:
             return _load_compiled()
         except ImportError:
             return pyops
-    raise ValueError(
-        f"{_ENV_VAR}={choice!r}: expected one of {_PURE_NAMES + _COMPILED_NAMES}"
-    )
+    if choice not in _BACKENDS:
+        raise ValueError(f"{_ENV_VAR}={choice!r}: expected one of {_BACKENDS}")
+    return load_backend(choice)
 
 
 def load_backend(name):
     """Return the named kernel module (``pure`` or ``compiled``)."""
-    if name in _PURE_NAMES:
+    if name == "pure":
         return pyops
-    if name in _COMPILED_NAMES:
+    if name == "compiled":
         return _load_compiled()
     raise ValueError(f"unknown kernel backend {name!r}")
 

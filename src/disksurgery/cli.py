@@ -87,13 +87,14 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _load_for(args) -> object:
-    """Scenario argument: a built-in name or a file path."""
+def _load_for(args) -> tuple:
+    """Scenario argument, a built-in name or a file path: the pair and its label."""
     if args.scenario in BUILTIN_SCENARIOS:
-        return builtin_scenario(args.scenario, args.genus)
-    if getattr(args, "genus_given", False):
+        genus = 3 if args.genus is None else args.genus
+        return builtin_scenario(args.scenario, genus), f"{args.scenario} (genus {genus})"
+    if args.genus is not None:
         raise ValueError("--genus applies only to built-in scenarios")
-    return load_scenario(args.scenario)
+    return load_scenario(args.scenario), str(args.scenario)
 
 
 def _cmd_validate(args) -> int:
@@ -108,7 +109,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_surgeries(args) -> int:
-    system = _load_for(args)
+    system, _ = _load_for(args)
     for i, outcome in enumerate(all_surgeries(system), start=1):
         cyclic = unoriented_cyclic_class(outcome.boundary_word)
         print(f"[{i}] {outcome.choice.describe()} | piece {outcome.piece}"
@@ -119,11 +120,7 @@ def _cmd_surgeries(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    system = _load_for(args)
-    if args.scenario in BUILTIN_SCENARIOS:
-        label = f"{args.scenario} (genus {args.genus})"
-    else:
-        label = str(args.scenario)
+    system, label = _load_for(args)
     report = run_report(system, label=label)
     rendered = render_json(report) if args.machine else render_text(report)
     sys.stdout.write(rendered)
@@ -172,13 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("surgeries", help="list every surgery outcome of a pair")
     p.add_argument("scenario", help="scenario file or built-in name")
-    p.add_argument("--genus", type=int, default=3,
+    p.add_argument("--genus", type=int, default=None,
                    help="genus for built-in scenarios (default 3)")
     p.set_defaults(func=_cmd_surgeries)
 
     p = sub.add_parser("closure", help="closure report for a disk pair")
     p.add_argument("scenario", help="scenario file or built-in name")
-    p.add_argument("--genus", type=int, default=3,
+    p.add_argument("--genus", type=int, default=None,
                    help="genus for built-in scenarios (default 3)")
     p.add_argument("--machine", action="store_true", help="emit JSON")
     p.set_defaults(func=_cmd_closure)
@@ -198,9 +195,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    if hasattr(args, "genus"):
-        given = argv if argv is not None else sys.argv[1:]
-        args.genus_given = any(str(item).startswith("--genus") for item in given)
     try:
         return args.func(args)
     except (InvalidSystemError, ScenarioFormatError) as exc:

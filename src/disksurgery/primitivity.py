@@ -32,9 +32,7 @@ from .words import CyclicWord, Word, check_rank, format_letter
 
 __all__ = [
     "WhiteheadAuto",
-    "PrimitivityVerdict",
     "OracleCapExceeded",
-    "DEFAULT_ORACLE_CAP",
     "enumerate_whitehead_autos",
     "apply_auto",
     "apply_auto_cyclic",

@@ -1,54 +1,20 @@
 """Human- and machine-readable closure reports.
 
-Every value shown is recomputable by re-running the named operations on
-the scenario, and rendering is deterministic: identical systems produce
-byte-identical reports.
+A report is the ``closure --machine`` document itself: a plain dict of
+JSON values, rendered as JSON by :func:`render_json` and as text by
+:func:`render_text`. Every value shown is recomputable by re-running the
+named operations on the scenario, and rendering is deterministic:
+identical systems produce byte-identical reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
 
 from .surgery import DiskPairSystem, closure_report
 from .words import concat, format_word, parse_word, unoriented_cyclic_class
 
-__all__ = ["OutcomeRow", "Report", "run_report", "render_text", "render_json"]
-
-
-@dataclass(frozen=True, slots=True)
-class OutcomeRow:
-    direction: str
-    chord: tuple[str, str]
-    cap_from: str
-    piece: str
-    word: str
-    cyclic_class: str
-    inherited_chords: int
-    primitive: bool
-    oz_fired: bool
-
-
-@dataclass(frozen=True, slots=True)
-class Report:
-    """Closure verdicts for one disk pair.
-
-    ``deviations`` is nonempty when the scenario's meta names the
-    expected outcome classes and some outcome strays from them; a
-    mistranscribed built-in pair fails loudly instead of passing as a
-    different theorem.
-    """
-
-    label: str
-    rank: int
-    chord_count: int
-    boundary_d: str
-    boundary_d_reduced: str
-    boundary_e: str
-    boundary_e_reduced: str
-    outcomes: tuple[OutcomeRow, ...]
-    any_primitive: dict
-    all_primitive: dict
-    deviations: tuple[str, ...]
+__all__ = ["run_report", "render_text", "render_json"]
 
 
 def _expected_classes(system: DiskPairSystem):
@@ -58,75 +24,87 @@ def _expected_classes(system: DiskPairSystem):
     return {unoriented_cyclic_class(parse_word(t, system.rank)) for t in texts}
 
 
-def run_report(system: DiskPairSystem, label: str = "scenario") -> Report:
-    """Boundary words, every surgery outcome with its verdict, closure flags."""
-    closure = closure_report(system)
-    word_d = concat(*system.labels_d)
-    word_e = concat(*system.labels_e)
+def _boundary(word) -> dict:
+    return {"word": format_word(word), "reduced": format_word(word.reduced())}
 
+
+def run_report(system: DiskPairSystem, label: str = "scenario") -> dict:
+    """Boundary words, every surgery outcome with its verdict, closure flags.
+
+    ``deviations`` is nonempty when the scenario's meta names the
+    expected outcome classes and some outcome strays from them; a
+    mistranscribed built-in pair fails loudly instead of passing as a
+    different theorem.
+    """
+    closure = closure_report(system)
     expected = _expected_classes(system)
-    rows = []
+    outcomes = []
     deviations = []
     for direction in closure.directions:
         for outcome, verdict in direction.entries:
+            p, q = outcome.choice.chord
             cyclic_class = unoriented_cyclic_class(outcome.boundary_word)
-            rows.append(OutcomeRow(
-                direction=direction.label,
-                chord=outcome.choice.chord,
-                cap_from=outcome.choice.start,
-                piece=outcome.piece,
-                word=format_word(outcome.boundary_word),
-                cyclic_class=format_word(cyclic_class),
-                inherited_chords=outcome.inherited_chords,
-                primitive=verdict.primitive,
-                oz_fired=verdict.oz_fired,
-            ))
+            outcomes.append({
+                "direction": direction.label,
+                "chord": [p, q],
+                "cap_from": outcome.choice.start,
+                "piece": outcome.piece,
+                "word": format_word(outcome.boundary_word),
+                "cyclic_class": format_word(cyclic_class),
+                "inherited_chords": outcome.inherited_chords,
+                "primitive": verdict.primitive,
+                "oz_fired": verdict.oz_fired,
+            })
             if expected is not None and cyclic_class not in expected:
                 deviations.append(
-                    f"outcome {direction.label}, chord {{{outcome.choice.chord[0]},"
-                    f" {outcome.choice.chord[1]}}}, piece {outcome.piece} has class"
-                    f" '{format_word(cyclic_class)}' outside the expected classes"
+                    f"outcome {direction.label}, chord {{{p}, {q}}}, piece {outcome.piece}"
+                    f" has class '{format_word(cyclic_class)}' outside the expected classes"
                 )
 
-    return Report(
-        label=label,
-        rank=system.rank,
-        chord_count=system.chord_count,
-        boundary_d=format_word(word_d),
-        boundary_d_reduced=format_word(word_d.reduced()),
-        boundary_e=format_word(word_e),
-        boundary_e_reduced=format_word(word_e.reduced()),
-        outcomes=tuple(rows),
-        any_primitive={d.label: d.any_primitive for d in closure.directions},
-        all_primitive={d.label: d.all_primitive for d in closure.directions},
-        deviations=tuple(deviations),
-    )
+    return {
+        "scenario": label,
+        "rank": system.rank,
+        "intersection_arcs": system.chord_count,
+        "boundary": {
+            "D": _boundary(concat(*system.labels_d)),
+            "E": _boundary(concat(*system.labels_e)),
+        },
+        "outcomes": outcomes,
+        "any_primitive": {d.label: d.any_primitive for d in closure.directions},
+        "all_primitive": {d.label: d.all_primitive for d in closure.directions},
+        "deviations": deviations,
+    }
 
 
-def render_text(report: Report) -> str:
+def render_text(report: dict) -> str:
+    boundary = report["boundary"]
+    outcomes = report["outcomes"]
+    any_primitive = report["any_primitive"]
+    all_primitive = report["all_primitive"]
     lines = [
-        f"scenario: {report.label}",
-        f"rank: {report.rank}",
-        f"intersection arcs: {report.chord_count}",
-        f"boundary D: {report.boundary_d}",
-        f"  reduced:  {report.boundary_d_reduced}",
-        f"boundary E: {report.boundary_e}",
-        f"  reduced:  {report.boundary_e_reduced}",
-        f"surgery outcomes ({len(report.outcomes)}):",
+        f"scenario: {report['scenario']}",
+        f"rank: {report['rank']}",
+        f"intersection arcs: {report['intersection_arcs']}",
+        f"boundary D: {boundary['D']['word']}",
+        f"  reduced:  {boundary['D']['reduced']}",
+        f"boundary E: {boundary['E']['word']}",
+        f"  reduced:  {boundary['E']['reduced']}",
+        f"surgery outcomes ({len(outcomes)}):",
     ]
-    for i, row in enumerate(report.outcomes, start=1):
-        verdict = "primitive" if row.primitive else "not primitive"
-        oz = ", oz" if row.oz_fired else ""
+    for i, row in enumerate(outcomes, start=1):
+        verdict = "primitive" if row["primitive"] else "not primitive"
+        oz = ", oz" if row["oz_fired"] else ""
+        p, q = row["chord"]
         lines.append(
-            f"  [{i}] {row.direction} | chord {{{row.chord[0]}, {row.chord[1]}}}"
-            f" cap from {row.cap_from} | piece {row.piece}"
-            f" | arcs left {row.inherited_chords} | {verdict}{oz}"
+            f"  [{i}] {row['direction']} | chord {{{p}, {q}}}"
+            f" cap from {row['cap_from']} | piece {row['piece']}"
+            f" | arcs left {row['inherited_chords']} | {verdict}{oz}"
         )
-        lines.append(f"      word:  {row.word}")
-        lines.append(f"      class: {row.cyclic_class}")
-    for direction in sorted(report.any_primitive):
-        any_p = report.any_primitive[direction]
-        all_p = report.all_primitive[direction]
+        lines.append(f"      word:  {row['word']}")
+        lines.append(f"      class: {row['cyclic_class']}")
+    for direction in sorted(any_primitive):
+        any_p = any_primitive[direction]
+        all_p = all_primitive[direction]
         closed = "holds" if all_p else "fails"
         weakly = "holds" if any_p else "fails"
         lines.append(
@@ -134,46 +112,18 @@ def render_text(report: Report) -> str:
             f" | all primitive: {'yes' if all_p else 'no'}"
             f" -> closed {closed}, weakly closed {weakly} at this pair"
         )
-    if all(not v for v in report.any_primitive.values()):
+    if all(not v for v in any_primitive.values()):
         lines.append("verdict: no surgery on this pair yields a primitive disk"
                      " (weak closedness fails in both directions)")
-    elif all(report.all_primitive.values()):
+    elif all(all_primitive.values()):
         lines.append("verdict: every surgery on this pair yields a primitive disk"
                      " (closedness holds at this pair)")
-    for deviation in report.deviations:
+    for deviation in report["deviations"]:
         lines.append(f"DEVIATION: {deviation}")
-    if report.deviations:
+    if report["deviations"]:
         lines.append("DEVIATION: outcome classes differ from the scenario's expected set")
     return "\n".join(lines) + "\n"
 
 
-def render_json(report: Report) -> str:
-    import json
-
-    data = {
-        "scenario": report.label,
-        "rank": report.rank,
-        "intersection_arcs": report.chord_count,
-        "boundary": {
-            "D": {"word": report.boundary_d, "reduced": report.boundary_d_reduced},
-            "E": {"word": report.boundary_e, "reduced": report.boundary_e_reduced},
-        },
-        "outcomes": [
-            {
-                "direction": row.direction,
-                "chord": list(row.chord),
-                "cap_from": row.cap_from,
-                "piece": row.piece,
-                "word": row.word,
-                "cyclic_class": row.cyclic_class,
-                "inherited_chords": row.inherited_chords,
-                "primitive": row.primitive,
-                "oz_fired": row.oz_fired,
-            }
-            for row in report.outcomes
-        ],
-        "any_primitive": dict(sorted(report.any_primitive.items())),
-        "all_primitive": dict(sorted(report.all_primitive.items())),
-        "deviations": list(report.deviations),
-    }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+def render_json(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"

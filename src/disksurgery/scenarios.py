@@ -34,8 +34,6 @@ from .words import Word, WordSyntaxError, format_word, parse_word
 
 __all__ = [
     "ScenarioFormatError",
-    "BUILTIN_SCENARIOS",
-    "FIG1_OUTCOME_WORDS",
     "builtin_scenario",
     "load_scenario",
     "loads_scenario",
@@ -44,13 +42,6 @@ __all__ = [
 ]
 
 BUILTIN_SCENARIOS = ("fig1",)
-
-# Boundary words of the two disks that every fig1 surgery produces,
-# regardless of genus; reports flag any outcome straying from them.
-FIG1_OUTCOME_WORDS = (
-    "x1 x2^-1 x1 x2 x1^-1 x2",
-    "x1 x2^-1 x1 x2^-1 x1 x2 x1^-1 x2 x2 x1^-1 x2",
-)
 
 
 class ScenarioFormatError(ValueError):

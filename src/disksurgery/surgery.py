@@ -32,14 +32,9 @@ from .words import Word, concat
 __all__ = [
     "DiskPairSystem",
     "SurgeryChoice",
-    "SurgeryOutcome",
-    "DirectionReport",
-    "ClosureReport",
-    "Violation",
     "InvalidSystemError",
     "DisjointDisksError",
     "SurgeryChoiceError",
-    "other_disk",
     "validate_system",
     "boundary_word",
     "outermost_choices",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator
 
 from ._kernels import canonical_cyclic, cyclic_reduce, free_reduce, letter_key
@@ -28,9 +29,6 @@ __all__ = [
     "Word",
     "CyclicWord",
     "WordSyntaxError",
-    "check_rank",
-    "check_letter",
-    "format_letter",
     "parse_word",
     "format_word",
     "concat",
@@ -198,10 +196,7 @@ def format_word(word: Word | CyclicWord | Iterable[int]) -> str:
 
 def concat(*words: Word) -> Word:
     """Juxtapose words left to right without reducing."""
-    letters: tuple[int, ...] = ()
-    for w in words:
-        letters += w.letters
-    return Word(letters)
+    return Word(tuple(chain.from_iterable(w.letters for w in words)))
 
 
 def abelianize(word: Word | CyclicWord, rank: int) -> tuple[int, ...]:

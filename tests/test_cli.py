@@ -154,6 +154,18 @@ class TestClosure:
         assert code == 0
         assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
+    @pytest.mark.parametrize("extra, name", [
+        ((), "closure_mixed_rank3.txt"),
+        (("--machine",), "closure_mixed_rank3.json"),
+    ])
+    def test_mixed_report_pinned(self, capsys, monkeypatch, extra, name):
+        # A rank-3 pair with primitive outcomes, descent and sign-test
+        # verdicts, one direction closed and deviations from its meta.
+        monkeypatch.chdir(GOLDEN)
+        code, out, _ = run(capsys, "closure", "mixed_rank3.json", *extra)
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
     def test_byte_identical_runs(self, capsys):
         _, first, _ = run(capsys, "closure", "fig1", "--genus", "3")
         _, second, _ = run(capsys, "closure", "fig1", "--genus", "3")
@@ -215,8 +227,8 @@ class TestScenarioSubcommand:
 class TestReportRendering:
     def test_oz_fired_shown_for_every_fig1_outcome(self):
         report = run_report(builtin_scenario("fig1", 3), label="fig1 (genus 3)")
-        assert len(report.outcomes) == 8
-        assert all(row.oz_fired and not row.primitive for row in report.outcomes)
+        assert len(report["outcomes"]) == 8
+        assert all(row["oz_fired"] and not row["primitive"] for row in report["outcomes"])
         text = render_text(report)
         assert text.count("not primitive, oz") == 8
 

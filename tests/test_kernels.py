@@ -73,9 +73,10 @@ class TestSelection:
     def test_pure_always_available(self):
         assert "pure" in available_backends()
 
-    def test_unknown_name_rejected(self):
+    @pytest.mark.parametrize("name", ["fortran", "py", "python", "c", "ext"])
+    def test_unknown_name_rejected(self, name):
         with pytest.raises(ValueError):
-            load_backend("fortran")
+            load_backend(name)
 
     @pytest.mark.parametrize("forced,expected", [
         ("pure", "pure"),
