@@ -1,30 +1,6 @@
-import os
-
 from setuptools import Extension, setup
 
-_KERNEL_DIR = os.path.join("src", "disksurgery", "_kernels")
-
-
-def _extensions():
-    """Compiled kernel core; optional, the pure backend covers its absence.
-
-    Cythonize when Cython is importable, otherwise fall back to a
-    pregenerated C file if one is present, otherwise build nothing.
-    """
-    pyx = os.path.join(_KERNEL_DIR, "_core.pyx")
-    csrc = os.path.join(_KERNEL_DIR, "_core.c")
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    if cythonize is not None and os.path.exists(pyx):
-        return cythonize(
-            [Extension("disksurgery._kernels._core", [pyx], optional=True)],
-            language_level="3",
-        )
-    if os.path.exists(csrc):
-        return [Extension("disksurgery._kernels._core", [csrc], optional=True)]
-    return []
-
-
-setup(ext_modules=_extensions())
+# The compiled kernel core is optional: when it cannot be built, the pure
+# backend serves instead.
+setup(ext_modules=[Extension("disksurgery._kernels._core",
+                             ["src/disksurgery/_kernels/_core.c"], optional=True)])

@@ -1,10 +1,11 @@
 """Kernel backend selection.
 
 The hot inner loops (free reduction, cyclic canonicalization, Whitehead
-substitution) exist twice: a Cython extension ``_core`` and a pure-Python
-mirror ``pyops``. The compiled core is picked at import time when present;
-set ``DISKSURGERY_KERNEL=pure`` or ``=compiled`` to force a backend
-(forcing ``compiled`` raises if the extension was not built).
+substitution) exist twice: a hand-written C extension ``_core``, which
+``setup.py`` builds from ``_core.c`` when a C compiler is present, and the
+pure-Python reference ``pyops``. The compiled core is picked at import
+time when built; set ``DISKSURGERY_KERNEL=pure`` or ``=compiled`` to force
+a backend (forcing ``compiled`` raises if the extension was not built).
 """
 
 import os
@@ -58,7 +59,6 @@ BACKEND = _impl.BACKEND
 letter_key = pyops.letter_key
 free_reduce = _impl.free_reduce
 cyclic_reduce = _impl.cyclic_reduce
-least_rotation = _impl.least_rotation
 canonical_cyclic = _impl.canonical_cyclic
 apply_images = _impl.apply_images
 apply_images_canonical = _impl.apply_images_canonical

@@ -1,7 +1,8 @@
 """Pure-Python word kernels.
 
-Fallback used when the compiled core is unavailable; semantics of the two
-backends are identical (the test suite cross-checks them).
+The reference implementation, and the fallback when the compiled core is
+unavailable; the two backends give the same results and exception types
+(the test suite cross-checks them).
 
 Letters are nonzero ints: ``+i`` is the generator ``x_i``, ``-i`` its
 inverse. The canonical letter order is x1 < x1^-1 < x2 < x2^-1 < ...,
@@ -69,19 +70,24 @@ def apply_images(letters, flat, offsets):
 
     The image of a letter ``l`` is ``flat[offsets[k]:offsets[k+1]]`` with
     ``k = letter_key(l)``; ``flat``/``offsets`` are flat int sequences so
-    both backends share one automorphism encoding. The table must cover
-    every letter occurring in ``letters`` (offsets indexed up to
-    ``letter_key(l) + 1``); shorter tables are a caller bug.
+    both backends share one automorphism encoding. A letter the table does
+    not cover (``0``, or one whose ``letter_key(l) + 1`` is past the end of
+    ``offsets``) raises ``ValueError``, as in the compiled backend.
     """
+    if 0 in letters:
+        raise ValueError("letter 0 has no image")
     out = []
-    for a in letters:
-        k = letter_key(a)
-        for j in range(offsets[k], offsets[k + 1]):
-            b = flat[j]
-            if out and out[-1] == -b:
-                out.pop()
-            else:
-                out.append(b)
+    try:
+        for a in letters:
+            k = letter_key(a)
+            for j in range(offsets[k], offsets[k + 1]):
+                b = flat[j]
+                if out and out[-1] == -b:
+                    out.pop()
+                else:
+                    out.append(b)
+    except IndexError:
+        raise ValueError("a letter has no image in the table") from None
     return tuple(out)
 
 

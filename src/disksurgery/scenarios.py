@@ -2,7 +2,7 @@
 
 A scenario file is a JSON document with the fields
 
-    rank      int >= 2
+    rank      int from 2 to words.MAX_RANK
     points    list of distinct point identifiers (strings)
     order_d   the points as met along the boundary of D
     order_e   the points as met along the boundary of E
@@ -30,7 +30,7 @@ import json
 from importlib import resources
 
 from .surgery import DiskPairSystem
-from .words import Word, WordSyntaxError, format_word, parse_word
+from .words import Word, WordSyntaxError, check_rank, format_word, parse_word
 
 __all__ = [
     "ScenarioFormatError",
@@ -91,8 +91,10 @@ def _from_dict(data) -> DiskPairSystem:
             _fail(name, "unknown field")
 
     rank = data["rank"]
-    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 2:
-        _fail("rank", f"expected an integer >= 2, got {rank!r}")
+    try:
+        check_rank(rank)
+    except ValueError as exc:
+        _fail("rank", str(exc))
 
     points = _string_list(data["points"], "points")
     order_d = _string_list(data["order_d"], "order_d")

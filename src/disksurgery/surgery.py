@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .primitivity import PrimitivityVerdict, is_primitive
-from .words import Word, concat
+from .words import Word, check_rank, concat
 
 __all__ = [
     "DiskPairSystem",
@@ -150,8 +150,10 @@ def _crossing_pairs(order, chords):
 def validate_system(system: DiskPairSystem) -> list[Violation]:
     """Check every invariant; returns all violations (empty when valid)."""
     out: list[Violation] = []
-    if not isinstance(system.rank, int) or system.rank < 2:
-        out.append(Violation("bad-rank", f"rank must be an integer >= 2, got {system.rank!r}"))
+    try:
+        check_rank(system.rank)
+    except ValueError as exc:
+        out.append(Violation("bad-rank", str(exc)))
 
     points = system.points
     point_set = set(points)

@@ -41,9 +41,14 @@ class WordSyntaxError(ValueError):
     """Malformed word text or out-of-range generator index."""
 
 
+# Largest accepted rank, so that every letter fits a C long on every
+# platform and both kernel backends see the same inputs.
+MAX_RANK = 2**31 - 1
+
+
 def check_rank(rank: int) -> int:
-    if not isinstance(rank, int) or rank < 2:
-        raise ValueError(f"rank must be an integer >= 2, got {rank!r}")
+    if not isinstance(rank, int) or not 2 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be an integer from 2 to {MAX_RANK}, got {rank!r}")
     return rank
 
 

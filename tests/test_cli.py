@@ -5,6 +5,7 @@ import pytest
 
 from disksurgery import builtin_scenario, render_text, run_report, save_scenario
 from disksurgery.cli import main
+from disksurgery.words import MAX_RANK
 from helpers import DISK_E_WORD, OUTCOME_LONG, OUTCOME_SHORT, single_chord_system
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -32,6 +33,14 @@ class TestReduce:
         assert code == 2
         assert "error" in err
 
+    def test_index_above_rank_bound_usage_error(self, capsys):
+        # The inferred rank is the largest index; both backends stop here,
+        # before the word reaches a kernel.
+        code, out, err = run(capsys, "reduce", f"x{2**70} x1")
+        assert code == 2
+        assert out == ""
+        assert f"from 2 to {MAX_RANK}" in err
+
 
 class TestPrimitive:
     def test_primitive_exit_zero(self, capsys):
@@ -58,6 +67,12 @@ class TestPrimitive:
     def test_missing_rank_usage_error(self, capsys):
         code, _, _ = run(capsys, "primitive", "x1")
         assert code == 2
+
+    def test_rank_above_bound_usage_error(self, capsys):
+        code, out, err = run(capsys, "primitive", "--rank", str(MAX_RANK + 1), "x1")
+        assert code == 2
+        assert out == ""
+        assert f"from 2 to {MAX_RANK}" in err
 
 
 class TestOracle:
@@ -188,6 +203,23 @@ class TestClosure:
         code, _, err = run(capsys, "closure", str(path))
         assert code == 4
         assert "label-count-d" in err
+
+    def test_rank_above_bound_exit_four(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        save_scenario(builtin_scenario("fig1", 3), path)
+        data = json.loads(path.read_text())
+        data["rank"] = MAX_RANK + 1
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "closure", str(path))
+        assert code == 4
+        assert out == ""
+        assert f"rank: rank must be an integer from 2 to {MAX_RANK}" in err
+
+    def test_genus_above_bound_exit_four(self, capsys):
+        code, out, err = run(capsys, "closure", "fig1", "--genus", str(MAX_RANK + 1))
+        assert code == 4
+        assert out == ""
+        assert "bad-rank" in err
 
     def test_deviation_flagged_loudly(self, capsys, tmp_path):
         # A mistranscribed pair whose meta still claims the fig1 classes.

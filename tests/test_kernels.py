@@ -1,5 +1,6 @@
 """Cross-checks the pure and compiled kernel backends against each other."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -14,16 +15,44 @@ from disksurgery._kernels import available_backends, load_backend
 from disksurgery.primitivity import enumerate_whitehead_autos
 
 pure = load_backend("pure")
-compiled_available = "compiled" in available_backends()
 
+# Only the child-interpreter tests need the core built in place; the
+# others build their own copy with the `compiled` fixture.
 needs_compiled = pytest.mark.skipif(
-    not compiled_available, reason="compiled kernel core not built")
+    "compiled" not in available_backends(), reason="compiled kernel core not built in place")
 
 letters = st.lists(st.integers(min_value=-4, max_value=4).filter(bool), max_size=80)
 
 # The directory holding the `disksurgery` package under test (`src/` in a
 # checkout), so child interpreters import this copy and no other.
 SOURCE_ROOT = Path(disksurgery.__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled core built from this copy's `_core.c` into a temp dir.
+
+    Skips when it cannot be built, for example without a C compiler.
+    """
+    setuptools = pytest.importorskip("setuptools")
+    from setuptools.command.build_ext import build_ext
+    from setuptools.errors import BaseError, CCompilerError
+
+    out = tmp_path_factory.mktemp("core")
+    source = SOURCE_ROOT / "disksurgery" / "_kernels" / "_core.c"
+    ext = setuptools.Extension("_core", [str(source)])
+    cmd = build_ext(setuptools.Distribution({"ext_modules": [ext]}))
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    cmd.ensure_finalized()
+    try:
+        cmd.run()
+    except (CCompilerError, BaseError) as exc:
+        pytest.skip(f"compiled kernel core could not be built: {exc}")
+    spec = importlib.util.spec_from_file_location("_core", cmd.get_ext_fullpath("_core"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def child_env(kernel):
@@ -40,32 +69,29 @@ def child_env(kernel):
     return env
 
 
-@needs_compiled
 class TestBackendsAgree:
     @given(letters)
-    def test_free_reduce(self, seq):
-        assert load_backend("compiled").free_reduce(seq) == pure.free_reduce(seq)
+    def test_free_reduce(self, compiled, seq):
+        assert compiled.free_reduce(seq) == pure.free_reduce(seq)
 
     @given(letters)
-    def test_cyclic_reduce(self, seq):
-        assert load_backend("compiled").cyclic_reduce(seq) == pure.cyclic_reduce(seq)
+    def test_cyclic_reduce(self, compiled, seq):
+        assert compiled.cyclic_reduce(seq) == pure.cyclic_reduce(seq)
 
-    @given(letters)
-    def test_least_rotation(self, seq):
-        assert load_backend("compiled").least_rotation(seq) == pure.least_rotation(seq)
-
-    @given(letters)
-    def test_canonical_cyclic(self, seq):
-        assert load_backend("compiled").canonical_cyclic(seq) == pure.canonical_cyclic(seq)
+    @given(letters, st.integers(min_value=1, max_value=4))
+    def test_canonical_cyclic(self, compiled, seq, repeats):
+        # Repeats make periodic words, whose least rotation starts at
+        # several places.
+        seq = seq * repeats
+        assert compiled.canonical_cyclic(seq) == pure.canonical_cyclic(seq)
 
     @given(letters, st.integers(min_value=0, max_value=200))
-    def test_apply_images(self, seq, pick):
+    def test_apply_images(self, compiled, seq, pick):
         autos = enumerate_whitehead_autos(4)
         auto = autos[pick % len(autos)]
         flat, offsets = auto._flat, auto._offsets
-        fast = load_backend("compiled")
-        assert fast.apply_images(seq, flat, offsets) == pure.apply_images(seq, flat, offsets)
-        assert fast.apply_images_canonical(seq, flat, offsets) == \
+        assert compiled.apply_images(seq, flat, offsets) == pure.apply_images(seq, flat, offsets)
+        assert compiled.apply_images_canonical(seq, flat, offsets) == \
             pure.apply_images_canonical(seq, flat, offsets)
 
 
@@ -125,13 +151,45 @@ class TestSelection:
         assert len(results) == 1
 
 
-@needs_compiled
-def test_array_payloads_accepted():
+def test_array_payloads_accepted(compiled):
     # Rank-2 table: x1 -> x1 x2, x1^-1 -> x2^-1 x1^-1, x2 and x2^-1 fixed.
-    fast = load_backend("compiled")
     flat = array("l", [1, 2, -2, -1, 2, -2])
     offsets = array("l", [0, 2, 4, 5, 6])
-    assert fast.apply_images((1, 2), flat, offsets) == (1, 2, 2)
+    assert compiled.apply_images((1, 2), flat, offsets) == (1, 2, 2)
     assert pure.apply_images((1, 2), flat, offsets) == (1, 2, 2)
-    assert fast.apply_images((1, -2), flat, offsets) == (1,)
+    assert compiled.apply_images((1, -2), flat, offsets) == (1,)
     assert pure.apply_images((1, -2), flat, offsets) == (1,)
+
+
+# Feeds letters the rank-2 table above does not cover to both table
+# kernels of one backend: the pure one, or the core at the path given.
+UNCOVERED_PROBE = """
+import importlib.util, sys
+from array import array
+from disksurgery._kernels import pyops as kernels
+if sys.argv[1:]:
+    spec = importlib.util.spec_from_file_location("_core", sys.argv[1])
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+flat, offsets = array("l", [1, 2, -2, -1, 2, -2]), array("l", [0, 2, 4, 5, 6])
+for letter in (3, -3, 0, 2**40, 2**70):
+    for kernel in (kernels.apply_images, kernels.apply_images_canonical):
+        try:
+            kernel((1, letter), flat, offsets)
+            print("returned")
+        except Exception as exc:
+            print(type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_uncovered_letters_raise_value_error(backend, request):
+    # In a child interpreter, so that a crash fails the test instead of
+    # ending the run.
+    argv = [request.getfixturevalue("compiled").__file__] if backend == "compiled" else []
+    out = subprocess.run(
+        [sys.executable, "-c", UNCOVERED_PROBE, *argv],
+        capture_output=True, text=True, env=child_env("pure"),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ValueError"] * 10
