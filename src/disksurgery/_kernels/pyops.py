@@ -41,22 +41,32 @@ def cyclic_reduce(letters):
 
 
 def least_rotation(letters):
-    """Lexicographically least rotation under the canonical letter order."""
+    """Lexicographically least rotation under the canonical letter order.
+
+    Two-pointer scan, linear time even on periodic words: candidates
+    ``i`` and ``j`` are compared ``k`` letters deep, and the loser moves
+    past the ``k + 1`` starts that cannot beat the winner.
+    """
     w = tuple(letters)
     n = len(w)
     if n <= 1:
         return w
     keys = [letter_key(a) for a in w]
-    doubled = keys + keys
-    best = 0
-    for cand in range(1, n):
-        for off in range(n):
-            d = doubled[cand + off] - doubled[best + off]
-            if d < 0:
-                best = cand
-                break
-            if d > 0:
-                break
+    keys += keys
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = keys[i + k], keys[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    best = min(i, j)
     return w[best:] + w[:best]
 
 

@@ -8,6 +8,19 @@ Whitehead automorphism, so greedy descent over the (finite) set of
 Whitehead automorphisms terminates at the orbit minimum; the input is
 primitive exactly when that minimum has cyclic length one.
 
+Each descent step is read off the word's Whitehead graph (Whitehead
+1936; Gersten, *On Whitehead's algorithm*, 1984): one vertex per support
+letter and one edge between ``w[i]`` and ``w[i+1]^-1`` per cyclic
+position. The second-kind automorphism ``(A, a)`` takes a cyclic word of
+length ``n`` to one of length ``n + cap(A) - deg(a)``, where ``cap(A)``
+counts the edges leaving ``A``; first-kind automorphisms keep the length.
+Multipliers are tried in table order, and one is skipped when a max flow
+from ``a`` to ``a^-1`` reaches ``deg(a)``, as then no ``A`` reduces. For
+the first one left, the letter sets are scanned in table order up to the
+first with ``cap(A) < deg(a)``. That is the first table entry that
+shortens the word, so certificates are those of trying every entry in
+turn, and only the chosen entry is applied.
+
 Two independent routes are provided and cross-checked by the test suite:
 
 * :func:`is_primitive` — the descent, plus a rank-2 fast path
@@ -252,6 +265,129 @@ class PrimitivityVerdict:
     oz_fired: bool = False
 
 
+def _whitehead_graph(letters):
+    """Whitehead graph of a cyclically reduced word of length at least 2.
+
+    Vertices are the word's support letters in table order (``x_i``,
+    ``x_i^-1`` for each generator index ``i`` the word uses, ascending),
+    so the inverse of vertex ``v`` is ``v ^ 1``. Each cyclic position
+    ``i`` adds one edge between ``w[i]`` and ``w[i+1]^-1``; there are no
+    loops, as the word is cyclically reduced. Returns the vertex letters
+    and the symmetric edge-count matrix.
+    """
+    vertices = []
+    for g in sorted({abs(a) for a in letters}):
+        vertices += (g, -g)
+    index = {a: v for v, a in enumerate(vertices)}
+    adj = [[0] * len(vertices) for _ in vertices]
+    prev = index[letters[-1]]
+    for a in letters:
+        u = index[-a]
+        adj[prev][u] += 1
+        adj[u][prev] += 1
+        prev = index[a]
+    return vertices, adj
+
+
+def _flow_reaches(adj, source, sink, limit):
+    """Whether a maximum ``source``-``sink`` flow in ``adj`` reaches ``limit``.
+
+    Augmenting paths found breadth-first, stopping once ``limit`` units
+    flow; each edge carries its count in either direction.
+    """
+    size = len(adj)
+    residual = [row[:] for row in adj]
+    flow = 0
+    while flow < limit:
+        parent = [-1] * size
+        parent[source] = source
+        queue = [source]
+        for u in queue:
+            row = residual[u]
+            for v in range(size):
+                if row[v] and parent[v] < 0:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[sink] >= 0:
+                break
+        if parent[sink] < 0:
+            return False
+        push, v = limit - flow, sink
+        while v != source:
+            push = min(push, residual[parent[v]][v])
+            v = parent[v]
+        v = sink
+        while v != source:
+            residual[parent[v]][v] -= push
+            residual[v][parent[v]] += push
+            v = parent[v]
+        flow += push
+    return True
+
+
+def _first_reducing_set(adj, degree, a):
+    """First letter set, in table mask order, that shortens the word with
+    multiplier vertex ``a``.
+
+    Returns the member vertices other than ``a`` and ``cap(A) - deg(a)``,
+    which is negative. Bit ``k`` of a mask stands for the ``k``-th vertex
+    other than ``a`` and ``a^-1``. Masks run upwards, and the edges inside
+    ``A`` come from three smaller masks by inclusion-exclusion over the
+    two lowest bits, so each mask costs O(1). Returns ``None`` when no
+    mask reduces.
+    """
+    others = [v for v in range(len(adj)) if v >> 1 != a >> 1]
+    inside = [0]  # edges with both ends in A = {a} + members of the mask
+    weight = [0]  # sum of the members' degrees, a excluded
+    for mask in range(1, 1 << len(others)):
+        low = mask & -mask
+        rest = mask ^ low
+        v = others[low.bit_length() - 1]
+        if rest:
+            second = rest & -rest
+            u = others[second.bit_length() - 1]
+            edges = inside[rest] + inside[mask ^ second] - inside[rest ^ second] + adj[u][v]
+        else:
+            edges = adj[a][v]
+        total = weight[rest] + degree[v]
+        inside.append(edges)
+        weight.append(total)
+        # cap(A) - deg(a) = (deg(a) + total - 2 * edges) - deg(a)
+        if total < 2 * edges:
+            return [v for k, v in enumerate(others) if mask >> k & 1], total - 2 * edges
+    return None
+
+
+def _reducing_step(letters, rank):
+    """The first length-reducing automorphism in table order, or ``None``.
+
+    Returns ``(auto, predicted cyclic length of the image)``. Letters
+    outside the support would be isolated vertices: as multipliers they
+    have degree 0, and as members they leave ``cap(A)`` unchanged while
+    raising the table index, so the first reducer never involves one.
+    The table is fetched only once a step is chosen.
+    """
+    vertices, adj = _whitehead_graph(letters)
+    degree = [sum(row) for row in adj]
+    for a, multiplier in enumerate(vertices):
+        # Every support letter has positive degree. A max flow of deg(a)
+        # from a to a^-1 means every cut, so every cap(A), is at least deg(a).
+        if _flow_reaches(adj, a, a ^ 1, degree[a]):
+            continue
+        found = _first_reducing_set(adj, degree, a)
+        if found is None:
+            raise RuntimeError(f"no reducing set for multiplier {format_letter(multiplier)}"
+                               " though the min cut is below its degree")
+        members, change = found
+        index = letter_key(multiplier) * 4 ** (rank - 1)
+        for v in members:
+            # The bit of x in the table's mask over the letters other than +-a.
+            x = vertices[v]
+            index += 1 << (letter_key(x) - (2 if abs(x) > abs(multiplier) else 0))
+        return enumerate_whitehead_autos(rank)[index], len(letters) + change
+    return None
+
+
 def whitehead_minimize(word: Word | CyclicWord, rank: int) -> PrimitivityVerdict:
     """Greedy first-improvement descent to an orbit-minimal cyclic word.
 
@@ -259,24 +395,34 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int) -> PrimitivityVerdict
     shortens the cyclic word until none does. Peak reduction makes any
     local minimum global, so the verdict is ``primitive`` exactly when
     the minimum has length one.
+
+    Each step reads its automorphism off the word's Whitehead graph
+    instead of trying table entries: the second-kind ``(A, a)`` changes
+    the cyclic length by ``cap(A) - deg(a)``. Multipliers are taken in
+    table order, skipping each one whose max flow from ``a`` to ``a^-1``
+    reaches ``deg(a)``; for the first one left, letter sets are scanned
+    in table order up to the first with ``cap(A) < deg(a)``. First-kind
+    automorphisms never shorten a cyclic word. The chosen automorphism is
+    the table's own object, the one that rewriting the word with every
+    entry in turn would find first, and it is the only one applied;
+    ``RuntimeError`` is raised if the image's length is not the predicted
+    one. A word that is already minimal never builds the table.
     """
     check_rank(rank)
     _check_support(word.letters, rank)
     current = word if isinstance(word, CyclicWord) else CyclicWord(word.letters)
-    autos = enumerate_whitehead_autos(rank)
     certificate = []
     while len(current) > 1:
-        best = None
-        n = len(current)
-        for auto in autos:
-            image = cyclic_reduce(apply_images(current.letters, auto._flat, auto._offsets))
-            if len(image) < n:
-                best = (auto, image)
-                break
-        if best is None:
+        step = _reducing_step(current.letters, rank)
+        if step is None:
             break
-        certificate.append(best[0])
-        current = CyclicWord(best[1])
+        auto, predicted = step
+        image = cyclic_reduce(apply_images(current.letters, auto._flat, auto._offsets))
+        if len(image) != predicted:
+            raise RuntimeError(f"{auto.describe()} gave length {len(image)}, "
+                               f"predicted {predicted}")
+        certificate.append(auto)
+        current = CyclicWord(image)
     return PrimitivityVerdict(
         primitive=len(current) == 1,
         certificate=tuple(certificate),

@@ -69,6 +69,10 @@ def _validated(letters: Iterable[int]) -> tuple[int, ...]:
     for a in out:
         if not isinstance(a, int) or a == 0:
             raise ValueError(f"letters are nonzero ints, got {a!r}")
+    if out and (max(out) > MAX_RANK or min(out) < -MAX_RANK):
+        raise ValueError(
+            f"generator index {max(map(abs, out))} exceeds the largest rank {MAX_RANK}"
+        )
     return out
 
 

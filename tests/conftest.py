@@ -1,8 +1,38 @@
+import importlib.util
 import random
 
 import pytest
+
+from helpers import SOURCE_ROOT
 
 
 @pytest.fixture
 def rng():
     return random.Random(90210)
+
+
+@pytest.fixture(scope="session")
+def compiled(tmp_path_factory):
+    """The compiled core built from this copy's `_core.c` into a temp dir.
+
+    Skips when it cannot be built, for example without a C compiler.
+    """
+    setuptools = pytest.importorskip("setuptools")
+    from setuptools.command.build_ext import build_ext
+    from setuptools.errors import BaseError, CCompilerError
+
+    out = tmp_path_factory.mktemp("core")
+    source = SOURCE_ROOT / "disksurgery" / "_kernels" / "_core.c"
+    ext = setuptools.Extension("_core", [str(source)])
+    cmd = build_ext(setuptools.Distribution({"ext_modules": [ext]}))
+    cmd.build_lib = str(out)
+    cmd.build_temp = str(out / "tmp")
+    cmd.ensure_finalized()
+    try:
+        cmd.run()
+    except (CCompilerError, BaseError) as exc:
+        pytest.skip(f"compiled kernel core could not be built: {exc}")
+    spec = importlib.util.spec_from_file_location("_core", cmd.get_ext_fullpath("_core"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

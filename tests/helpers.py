@@ -1,8 +1,17 @@
-"""Shared test data and the randomized disk-pair generator."""
+"""Shared test data, the randomized disk-pair generator and the
+reference Whitehead descent."""
 
+import os
 import random
+from pathlib import Path
 
-from disksurgery import DiskPairSystem, Word, parse_word
+import disksurgery
+from disksurgery import CyclicWord, DiskPairSystem, Word, parse_word, primitivity
+from disksurgery.primitivity import PrimitivityVerdict
+
+# The directory holding the `disksurgery` package under test (`src/` in a
+# checkout), so child interpreters import this copy and no other.
+SOURCE_ROOT = Path(disksurgery.__file__).resolve().parent.parent
 
 # Boundary word of disk E in the built-in genus-3 pair: two parallel
 # copies traversed oppositely, then the band letter. Reduces to x2.
@@ -104,3 +113,43 @@ def single_chord_system(labels_d, labels_e, rank=2) -> DiskPairSystem:
         labels_d=tuple(parse_word(t, rank) for t in labels_d),
         labels_e=tuple(parse_word(t, rank) for t in labels_e),
     )
+
+
+def child_env(kernel):
+    """Environment for a child interpreter that forces `kernel`.
+
+    Keeps the parent's environment and puts SOURCE_ROOT first on
+    PYTHONPATH, so the suite runs the same from a plain checkout
+    (``PYTHONPATH=src``) as from an installed package.
+    """
+    env = dict(os.environ)
+    env["DISKSURGERY_KERNEL"] = kernel
+    inherited = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE_ROOT), inherited]))
+    return env
+
+
+def reference_minimize(word, rank):
+    """The first-improvement descent by rewriting: each step applies the
+    table's entries in order until one shortens the cyclic word.
+
+    ``primitivity.whitehead_minimize`` must choose the same automorphisms.
+    The kernels are looked up in ``primitivity`` at call time, so a test
+    that swaps the backend there swaps it here too.
+    """
+    current = word if isinstance(word, CyclicWord) else CyclicWord(word.letters)
+    autos = primitivity.enumerate_whitehead_autos(rank)
+    certificate = []
+    while len(current) > 1:
+        n = len(current)
+        for auto in autos:
+            image = primitivity.cyclic_reduce(
+                primitivity.apply_images(current.letters, auto._flat, auto._offsets))
+            if len(image) < n:
+                certificate.append(auto)
+                current = CyclicWord(image)
+                break
+        else:
+            break
+    return PrimitivityVerdict(
+        primitive=len(current) == 1, certificate=tuple(certificate), minimal=current)

@@ -1,3 +1,9 @@
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
 import disksurgery
 from disksurgery import primitivity, report, scenarios, surgery, words
 
@@ -19,3 +25,20 @@ def test_each_name_comes_from_its_module():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(disksurgery, name) is getattr(module, name), (module.__name__, name)
+
+
+def tracer_hooks():
+    """``HOOKS`` of the benchmark's tracer, read without importing it."""
+    path = Path(__file__).resolve().parent.parent / "layerbench" / "tracer.py"
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no HOOKS assignment in {path}")
+
+
+@pytest.mark.parametrize("module,attr,layer", tracer_hooks())
+def test_tracer_hook_exists(module, attr, layer):
+    # The tracer replaces these names in the modules' namespaces; a rename
+    # would otherwise only crash traced benchmark runs.
+    assert callable(getattr(importlib.import_module(f"disksurgery.{module}"), attr))

@@ -1,7 +1,5 @@
 """Cross-checks the pure and compiled kernel backends against each other."""
 
-import importlib.util
-import os
 import subprocess
 import sys
 from array import array
@@ -10,63 +8,42 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-import disksurgery
 from disksurgery._kernels import available_backends, load_backend
 from disksurgery.primitivity import enumerate_whitehead_autos
+from helpers import SOURCE_ROOT, child_env
 
 pure = load_backend("pure")
 
 # Only the child-interpreter tests need the core built in place; the
-# others build their own copy with the `compiled` fixture.
+# others build their own copy with the `compiled` fixture (conftest.py).
 needs_compiled = pytest.mark.skipif(
     "compiled" not in available_backends(), reason="compiled kernel core not built in place")
 
 letters = st.lists(st.integers(min_value=-4, max_value=4).filter(bool), max_size=80)
 
-# The directory holding the `disksurgery` package under test (`src/` in a
-# checkout), so child interpreters import this copy and no other.
-SOURCE_ROOT = Path(disksurgery.__file__).resolve().parent.parent
+
+def brute_least_rotation(w):
+    w = tuple(w)
+    rotations = [w[i:] + w[:i] for i in range(len(w))] or [w]
+    return min(rotations, key=lambda r: [pure.letter_key(a) for a in r])
 
 
-@pytest.fixture(scope="session")
-def compiled(tmp_path_factory):
-    """The compiled core built from this copy's `_core.c` into a temp dir.
+class TestLeastRotation:
+    @given(letters)
+    def test_random_words(self, seq):
+        assert pure.least_rotation(seq) == brute_least_rotation(seq)
 
-    Skips when it cannot be built, for example without a C compiler.
-    """
-    setuptools = pytest.importorskip("setuptools")
-    from setuptools.command.build_ext import build_ext
-    from setuptools.errors import BaseError, CCompilerError
+    @given(st.lists(st.integers(min_value=-3, max_value=3).filter(bool), min_size=1, max_size=6),
+           st.integers(min_value=1, max_value=12))
+    def test_powers(self, u, m):
+        # Periodic words have several least rotations, all equal as words.
+        assert pure.least_rotation(u * m) == brute_least_rotation(u * m)
 
-    out = tmp_path_factory.mktemp("core")
-    source = SOURCE_ROOT / "disksurgery" / "_kernels" / "_core.c"
-    ext = setuptools.Extension("_core", [str(source)])
-    cmd = build_ext(setuptools.Distribution({"ext_modules": [ext]}))
-    cmd.build_lib = str(out)
-    cmd.build_temp = str(out / "tmp")
-    cmd.ensure_finalized()
-    try:
-        cmd.run()
-    except (CCompilerError, BaseError) as exc:
-        pytest.skip(f"compiled kernel core could not be built: {exc}")
-    spec = importlib.util.spec_from_file_location("_core", cmd.get_ext_fullpath("_core"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def child_env(kernel):
-    """Environment for a child interpreter that forces `kernel`.
-
-    Keeps the parent's environment and puts SOURCE_ROOT first on
-    PYTHONPATH, so the suite runs the same from a plain checkout
-    (``PYTHONPATH=src``) as from an installed package.
-    """
-    env = dict(os.environ)
-    env["DISKSURGERY_KERNEL"] = kernel
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE_ROOT), inherited]))
-    return env
+    @pytest.mark.parametrize("u,m", [((1, 2), 8000), ((2, -1, 3), 3000), ((-3, 1, 1, 2), 2000)])
+    def test_long_powers(self, u, m):
+        # The least rotation of u^m is (least rotation of u)^m; an O(n^2)
+        # scan takes seconds on these.
+        assert pure.least_rotation(u * m) == brute_least_rotation(u) * m
 
 
 class TestBackendsAgree:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import disksurgery.words
+from disksurgery.words import MAX_RANK
 from disksurgery import (
     CyclicWord,
     Word,
@@ -51,6 +52,19 @@ class TestParseFormat:
     def test_doctests(self):
         failures, _ = doctest.testmod(disksurgery.words)
         assert failures == 0
+
+
+class TestLetterRange:
+    @pytest.mark.parametrize("cls", [Word, CyclicWord])
+    @pytest.mark.parametrize("bad", [MAX_RANK + 1, -MAX_RANK - 1, 2**70, -2**70])
+    def test_index_beyond_max_rank_rejected(self, cls, bad):
+        # Rejected before any kernel sees it, on either backend.
+        with pytest.raises(ValueError, match="exceeds the largest rank"):
+            cls((1, bad, 2))
+
+    @pytest.mark.parametrize("cls", [Word, CyclicWord])
+    def test_max_rank_accepted(self, cls):
+        assert len(cls((MAX_RANK, 1, -MAX_RANK, 2))) == 4
 
 
 class TestReduce:
