@@ -28,9 +28,15 @@ Two independent routes are provided and cross-checked by the test suite:
   ``x1, x2`` containing some generator with both signs is never
   primitive.
 * :func:`oracle_primitives` — breadth-first closure of the orbit of
-  ``x1`` under all enumerated automorphisms, restricted to a length
-  bound. Peak reduction guarantees the closure is complete within the
-  bound, so membership is ground truth for short words.
+  ``x1``, restricted to a length bound. Peak reduction guarantees the
+  closure is complete within the bound, so membership is ground truth
+  for short words. It applies the first-kind generators and the
+  second-kind ``(A, a)`` with ``a`` positive and
+  ``1 < |A| < 2*rank - 1``: ``(A, a)`` is conjugation by ``a`` composed
+  with ``(L - A, a^-1)``, where ``L`` is the set of all ``2*rank``
+  letters, so the two give the same cyclic word. Conjugation by ``a``
+  is ``(L - {a^-1}, a)`` itself, and ``({a}, a)`` is the identity, so
+  no other table entry reaches a new cyclic word.
 """
 
 from __future__ import annotations
@@ -464,47 +470,64 @@ def is_primitive(word: Word | CyclicWord, rank: int, *, use_oz: bool = True) -> 
 
 
 def _resolve_cap(node_cap: int | None) -> int:
-    if node_cap is not None:
-        return node_cap
-    raw = os.environ.get(_ORACLE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{_ORACLE_CAP_ENV}={raw!r} is not an integer") from None
+    source = "node_cap"
+    if node_cap is None:
+        raw = os.environ.get(_ORACLE_CAP_ENV)
+        if raw is None:
+            return DEFAULT_ORACLE_CAP
+        try:
+            node_cap = int(raw)
+        except ValueError:
+            raise ValueError(f"{_ORACLE_CAP_ENV}={raw!r} is not an integer") from None
+        source = _ORACLE_CAP_ENV
+    if node_cap < 1:
+        raise ValueError(f"{source} must be >= 1, got {node_cap}")
+    return node_cap
 
 
 def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -> frozenset[CyclicWord]:
     """All primitive cyclic words of length at most ``max_len``.
 
-    Breadth-first closure of the canonical class of ``x1`` under every
-    enumerated Whitehead automorphism, discarding words longer than
-    ``max_len``. Completeness within the bound follows from peak
-    reduction: any two orbit members are joined by a chain whose
-    intermediate lengths never exceed the endpoints' maximum.
+    Breadth-first closure of the canonical class of ``x1`` under the
+    Whitehead automorphisms, discarding words longer than ``max_len``.
+    Completeness within the bound follows from peak reduction: any two
+    orbit members are joined by a chain whose intermediate lengths never
+    exceed the endpoints' maximum.
+
+    Only the automorphisms that can reach a new cyclic word are applied:
+    the first-kind generators and the second-kind ``(A, a)`` with ``a``
+    positive and ``1 < |A| < 2*rank - 1``, which is 7 of the 19 table
+    entries at rank 2 and 47 of 101 at rank 3. Writing ``L`` for the set
+    of all letters, ``(A, a)`` is conjugation by ``a`` composed with
+    ``(L - A, a^-1)``, so the two agree on cyclic words; ``({a}, a)`` is
+    the identity and ``(L - {a^-1}, a)`` is conjugation by ``a``. The
+    closure is therefore the one under the whole table. Each image is
+    canonicalized once, by the kernel, and each kept word becomes a
+    :class:`CyclicWord` only at the end.
 
     Intended as an independent ground truth for :func:`is_primitive` at
     small sizes (practical up to rank 3, length 8). Raises
     :class:`OracleCapExceeded` if more than ``node_cap`` canonical words
     are retained (default ``DEFAULT_ORACLE_CAP``, overridable via the
-    ``DISKSURGERY_ORACLE_CAP`` environment variable).
+    ``DISKSURGERY_ORACLE_CAP`` environment variable), which happens
+    exactly when the closure has more than ``node_cap`` words. A cap
+    below 1 raises ``ValueError``.
     """
     check_rank(rank)
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     cap = _resolve_cap(node_cap)
-    autos = enumerate_whitehead_autos(rank)
-    start = CyclicWord((1,))
+    top = 2 * rank - 1
+    tables = [(auto._flat, auto._offsets) for auto in enumerate_whitehead_autos(rank)
+              if auto.kind == "first" or (auto.multiplier > 0 and 1 < len(auto.members) < top)]
+    start = (1,)
     seen = {start}
     frontier = [start]
     while frontier:
         next_frontier = []
-        for cyclic in frontier:
-            for auto in autos:
-                image = CyclicWord(
-                    apply_images_canonical(cyclic.letters, auto._flat, auto._offsets)
-                )
+        for letters in frontier:
+            for flat, offsets in tables:
+                image = apply_images_canonical(letters, flat, offsets)
                 if len(image) <= max_len and image not in seen:
                     seen.add(image)
                     if len(seen) > cap:
@@ -515,7 +538,7 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
                         )
                     next_frontier.append(image)
         frontier = next_frontier
-    return frozenset(seen)
+    return frozenset(CyclicWord._from_canonical(letters) for letters in seen)
 
 
 def replay_certificate(word: Word | CyclicWord, certificate) -> tuple[CyclicWord, ...]:

@@ -136,6 +136,17 @@ class CyclicWord:
     def __post_init__(self):
         object.__setattr__(self, "letters", canonical_cyclic(_validated(self.letters)))
 
+    @classmethod
+    def _from_canonical(cls, letters: tuple[int, ...]) -> "CyclicWord":
+        """Wrap a tuple that a kernel already put in canonical form.
+
+        Skips validation, reduction and rotation, so the caller vouches
+        that ``letters`` is exactly what construction would store.
+        """
+        cyclic = object.__new__(cls)
+        object.__setattr__(cyclic, "letters", letters)
+        return cyclic
+
     def __len__(self) -> int:
         return len(self.letters)
 

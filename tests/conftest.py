@@ -3,7 +3,15 @@ import random
 
 import pytest
 
+from disksurgery import primitivity, words
+from disksurgery._kernels import load_backend
 from helpers import SOURCE_ROOT
+
+# The kernel names the descent, the oracle and the words module call, per module.
+KERNEL_NAMES = {
+    primitivity: ("apply_images", "apply_images_canonical", "cyclic_reduce"),
+    words: ("canonical_cyclic", "cyclic_reduce", "free_reduce"),
+}
 
 
 @pytest.fixture
@@ -36,3 +44,14 @@ def compiled(tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(params=["pure", "compiled"])
+def backend(request, monkeypatch):
+    """Run the test with every kernel call going to one backend."""
+    kernels = load_backend("pure") if request.param == "pure" \
+        else request.getfixturevalue("compiled")
+    for module, names in KERNEL_NAMES.items():
+        for name in names:
+            monkeypatch.setattr(module, name, getattr(kernels, name))
+    return request.param

@@ -1,5 +1,5 @@
 """Shared test data, the randomized disk-pair generator and the
-reference Whitehead descent."""
+reference Whitehead descent and orbit oracle."""
 
 import os
 import random
@@ -153,3 +153,27 @@ def reference_minimize(word, rank):
             break
     return PrimitivityVerdict(
         primitive=len(current) == 1, certificate=tuple(certificate), minimal=current)
+
+
+def reference_oracle(rank, max_len):
+    """The orbit closure of ``x1`` under every entry of the table, words
+    longer than ``max_len`` discarded, each image made a ``CyclicWord``.
+
+    ``primitivity.oracle_primitives`` must return the same set. The
+    kernel is looked up in ``primitivity`` at call time, as above.
+    """
+    autos = primitivity.enumerate_whitehead_autos(rank)
+    start = CyclicWord((1,))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        next_frontier = []
+        for cyclic in frontier:
+            for auto in autos:
+                image = CyclicWord(primitivity.apply_images_canonical(
+                    cyclic.letters, auto._flat, auto._offsets))
+                if len(image) <= max_len and image not in seen:
+                    seen.add(image)
+                    next_frontier.append(image)
+        frontier = next_frontier
+    return frozenset(seen)

@@ -93,6 +93,21 @@ class TestOracle:
         assert code == 5
         assert "exceeded" in err
 
+    @pytest.mark.parametrize("raw", ["0", "-3"])
+    def test_nonpositive_cap_usage_error(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("DISKSURGERY_ORACLE_CAP", raw)
+        code, out, err = run(capsys, "oracle", "--rank", "2", "--max-len", "4")
+        assert code == 2
+        assert out == ""
+        assert f"DISKSURGERY_ORACLE_CAP must be >= 1, got {raw}" in err
+
+    @pytest.mark.parametrize("rank, max_len", [(2, 10), (3, 5)])
+    def test_output_pinned(self, capsys, rank, max_len):
+        code, out, _ = run(capsys, "oracle", "--rank", str(rank), "--max-len", str(max_len))
+        assert code == 0
+        golden = GOLDEN / f"oracle_rank{rank}_len{max_len}.txt"
+        assert out.encode("utf-8") == golden.read_bytes()
+
 
 class TestValidate:
     def test_valid_file(self, capsys, tmp_path):

@@ -22,30 +22,11 @@ from disksurgery import (
     load_scenario,
     primitivity,
     whitehead_minimize,
-    words,
 )
-from disksurgery._kernels import load_backend, pyops
+from disksurgery._kernels import pyops
 from helpers import child_env, random_word, reference_minimize
 
 GOLDEN = Path(__file__).parent / "golden"
-
-# The kernel names the descent and the words module call, per module.
-KERNEL_NAMES = {
-    primitivity: ("apply_images", "apply_images_canonical", "cyclic_reduce"),
-    words: ("canonical_cyclic", "cyclic_reduce", "free_reduce"),
-}
-
-
-@pytest.fixture(params=["pure", "compiled"])
-def backend(request, monkeypatch):
-    """Run the test with every kernel call going to one backend."""
-    kernels = load_backend("pure") if request.param == "pure" \
-        else request.getfixturevalue("compiled")
-    for module, names in KERNEL_NAMES.items():
-        for name in names:
-            monkeypatch.setattr(module, name, getattr(kernels, name))
-    return request.param
-
 
 def assert_same_descent(word, rank):
     got = whitehead_minimize(word, rank)
