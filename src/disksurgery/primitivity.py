@@ -262,7 +262,9 @@ class PrimitivityVerdict:
     ``certificate`` replays from the input's cyclic reduction to
     ``minimal`` with strictly decreasing cyclic length at every step; it
     is empty when the fast path fired (``minimal`` is then just the
-    cyclic reduction, not necessarily the orbit minimum).
+    cyclic reduction, not necessarily the orbit minimum). So an empty
+    certificate means ``minimal`` is the input's own canonical cyclic
+    form, which closure reports rely on.
     """
 
     primitive: bool
@@ -372,14 +374,23 @@ def _reducing_step(letters, rank):
     have degree 0, and as members they leave ``cap(A)`` unchanged while
     raising the table index, so the first reducer never involves one.
     The table is fetched only once a step is chosen.
+
+    Only positive multipliers are tried, one max flow each. The graph is
+    undirected and ``deg(x) = deg(x^-1)``, as both count the occurrences
+    of ``x`` and ``x^-1``, so the flow test for ``x^-1`` repeats the one
+    for ``x`` just before it in table order: either ``x`` is skipped and
+    so is ``x^-1``, or ``x`` has a reducer and ``x^-1`` is never reached.
+    The first reducer therefore always has a positive multiplier.
     """
     vertices, adj = _whitehead_graph(letters)
     degree = [sum(row) for row in adj]
-    for a, multiplier in enumerate(vertices):
+    # Odd vertices are the inverses x^-1; their flow test repeats x's.
+    for a in range(0, len(vertices), 2):
         # Every support letter has positive degree. A max flow of deg(a)
         # from a to a^-1 means every cut, so every cap(A), is at least deg(a).
         if _flow_reaches(adj, a, a ^ 1, degree[a]):
             continue
+        multiplier = vertices[a]
         found = _first_reducing_set(adj, degree, a)
         if found is None:
             raise RuntimeError(f"no reducing set for multiplier {format_letter(multiplier)}"
@@ -406,7 +417,9 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int) -> PrimitivityVerdict
     instead of trying table entries: the second-kind ``(A, a)`` changes
     the cyclic length by ``cap(A) - deg(a)``. Multipliers are taken in
     table order, skipping each one whose max flow from ``a`` to ``a^-1``
-    reaches ``deg(a)``; for the first one left, letter sets are scanned
+    reaches ``deg(a)``; that test gives the same answer for ``a`` and
+    ``a^-1``, so it runs for positive multipliers only. For the first
+    multiplier left, letter sets are scanned
     in table order up to the first with ``cap(A) < deg(a)``. First-kind
     automorphisms never shorten a cyclic word. The chosen automorphism is
     the table's own object, the one that rewriting the word with every
@@ -460,7 +473,7 @@ def is_primitive(word: Word | CyclicWord, rank: int, *, use_oz: bool = True) -> 
     """
     check_rank(rank)
     _check_support(word.letters, rank)
-    cyclic = word if isinstance(word, CyclicWord) else CyclicWord(word.letters)
+    cyclic = word if isinstance(word, CyclicWord) else word.cyclic()
     if use_oz and cyclic.letters and all(abs(a) <= 2 for a in cyclic.letters):
         if oz_rank2_nonprimitive(cyclic):
             return PrimitivityVerdict(

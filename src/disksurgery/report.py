@@ -35,6 +35,10 @@ def run_report(system: DiskPairSystem, label: str = "scenario") -> dict:
     expected outcome classes and some outcome strays from them; a
     mistranscribed built-in pair fails loudly instead of passing as a
     different theorem.
+
+    A verdict with an empty certificate holds the outcome's canonical
+    cyclic form as ``minimal``, so the class is taken from it; only
+    outcomes that went through descent steps are canonicalized again.
     """
     closure = closure_report(system)
     expected = _expected_classes(system)
@@ -43,7 +47,8 @@ def run_report(system: DiskPairSystem, label: str = "scenario") -> dict:
     for direction in closure.directions:
         for outcome, verdict in direction.entries:
             p, q = outcome.choice.chord
-            cyclic_class = unoriented_cyclic_class(outcome.boundary_word)
+            cyclic = outcome.boundary_word.cyclic() if verdict.certificate else verdict.minimal
+            cyclic_class = unoriented_cyclic_class(cyclic)
             outcomes.append({
                 "direction": direction.label,
                 "chord": [p, q],

@@ -134,6 +134,28 @@ class DiskPairSystem:
         return self.labels_d if _check_disk(disk) == "D" else self.labels_e
 
 
+def _noncrossing(order, chords) -> bool:
+    """Whether a perfect matching of ``order``'s points has no crossing.
+
+    One scan along the order: a chord opens at its first endpoint and
+    must close at its second while it is the innermost open chord, as
+    in matching brackets. O(k) for k chords.
+    """
+    mate = {}
+    for p, q in chords:
+        mate[p], mate[q] = q, p
+    seen = set()
+    stack = []
+    for p in order:
+        if mate[p] in seen:
+            if stack.pop() != mate[p]:
+                return False
+        else:
+            seen.add(p)
+            stack.append(p)
+    return True
+
+
 def _crossing_pairs(order, chords):
     position = {p: i for i, p in enumerate(order)}
     placed = [tuple(sorted((position[p], position[q]))) for p, q in chords]
@@ -152,8 +174,10 @@ def validate_system(system: DiskPairSystem) -> list[Violation]:
     out: list[Violation] = []
     try:
         check_rank(system.rank)
+        rank_ok = True
     except ValueError as exc:
         out.append(Violation("bad-rank", str(exc)))
+        rank_ok = False
 
     points = system.points
     point_set = set(points)
@@ -201,14 +225,17 @@ def validate_system(system: DiskPairSystem) -> list[Violation]:
                 f"labels_{disk.lower()} has {len(labels)} entries, expected {expected}"
                 + (" (single cyclic label for disjoint disks)" if k == 0 else ""),
             ))
+        if not rank_ok:
+            continue
         for i, label in enumerate(labels):
-            for a in label.letters:
-                if abs(a) > system.rank:
-                    out.append(Violation(
-                        f"label-rank-{disk.lower()}",
-                        f"labels_{disk.lower()}[{i}] uses generator index {abs(a)}"
-                        f" beyond rank {system.rank}",
-                    ))
+            # Each out-of-range generator index once, in order of first use.
+            beyond = dict.fromkeys(abs(a) for a in label.letters if abs(a) > system.rank)
+            for index in beyond:
+                out.append(Violation(
+                    f"label-rank-{disk.lower()}",
+                    f"labels_{disk.lower()}[{i}] uses generator index {index}"
+                    f" beyond rank {system.rank}",
+                ))
     if k == 0 and points:
         out.append(Violation("points-without-chords", "points listed but no chords"))
 
@@ -216,9 +243,11 @@ def validate_system(system: DiskPairSystem) -> list[Violation]:
                           for v in out)
     if matching_ok:
         for disk in DISKS:
-            if not orders_ok[disk]:
+            order = system.order_of(disk)
+            if not orders_ok[disk] or _noncrossing(order, system.chords):
                 continue
-            for first, second in _crossing_pairs(system.order_of(disk), system.chords):
+            # Only a crossing order pays for the pairwise scan that names them.
+            for first, second in _crossing_pairs(order, system.chords):
                 out.append(Violation(
                     f"crossing-chords-{disk.lower()}",
                     f"chords {first} and {second} cross in order_{disk.lower()}",
@@ -332,12 +361,12 @@ def _surger(system: DiskPairSystem, choice: SurgeryChoice) -> tuple[SurgeryOutco
     # is inverted; piece C2 walks it forward.
     first = SurgeryOutcome(
         choice=choice, piece="C1",
-        boundary_word=concat(*rotated[:span]) * cap_word.inverse(),
+        boundary_word=concat(*rotated[:span], cap_word.inverse()),
         inherited_chords=(span - 1) // 2,
     )
     second = SurgeryOutcome(
         choice=choice, piece="C2",
-        boundary_word=concat(*rotated[span:]) * cap_word,
+        boundary_word=concat(*rotated[span:], cap_word),
         inherited_chords=(n - span - 1) // 2,
     )
     return first, second
@@ -401,11 +430,12 @@ def closure_report(system: DiskPairSystem) -> ClosureReport:
     """Run every surgery and test every outcome for primitivity.
 
     Weak closedness fails for the pair in a direction exactly when that
-    direction's ``any_primitive`` is False.
+    direction's ``any_primitive`` is False. Each outcome word is put in
+    canonical cyclic form once, and the verdict gets that form.
     """
     entries = {surgered: [] for surgered in DISKS}
     for outcome in _outcomes(system):
-        verdict = is_primitive(outcome.boundary_word, system.rank)
+        verdict = is_primitive(outcome.boundary_word.cyclic(), system.rank)
         entries[outcome.choice.target].append((outcome, verdict))
     reports = {}
     for surgered, pairs in entries.items():

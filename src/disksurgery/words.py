@@ -12,6 +12,16 @@ The rank of the ambient free group is a context parameter passed to
 parsing and validation, not stored on words, so the same value can be
 read in any free group whose rank covers its generator indices.
 
+Which constructors check: ``Word(...)``, ``CyclicWord(...)`` and
+:func:`parse_word` check every letter (a nonzero int within
+``MAX_RANK``, and within the rank for parsing). Results derived from
+words that were already checked trust their inputs and do not check
+again: :func:`concat` of words, ``*``, :meth:`Word.inverse`,
+:meth:`Word.reduced`, :meth:`Word.cyclic`, :meth:`CyclicWord.inverse`
+and :func:`unoriented_cyclic_class`. They build their results through
+the private ``Word._from_valid`` and ``CyclicWord._from_canonical``,
+whose callers vouch for the letters.
+
 Text syntax (CLI and scenario files): whitespace-separated tokens
 ``x<k>`` and ``x<k>^-1``; the empty word is the single token ``1``.
 """
@@ -91,6 +101,17 @@ class Word:
     def __post_init__(self):
         object.__setattr__(self, "letters", _validated(self.letters))
 
+    @classmethod
+    def _from_valid(cls, letters: tuple[int, ...]) -> "Word":
+        """Wrap a tuple of letters that were already checked.
+
+        Skips validation, so the caller vouches that ``letters`` is a
+        tuple of nonzero ints within ``MAX_RANK``.
+        """
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -99,7 +120,7 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         """Juxtaposition, not reduced."""
-        return Word(self.letters + other.letters)
+        return Word._from_valid(self.letters + other.letters)
 
     def __str__(self) -> str:
         return format_word(self)
@@ -109,15 +130,15 @@ class Word:
 
     def reduced(self) -> "Word":
         """The unique freely reduced word equal to this one."""
-        return Word(free_reduce(self.letters))
+        return Word._from_valid(free_reduce(self.letters))
 
     def inverse(self) -> "Word":
         """Reverse the sequence and flip every sign."""
-        return Word(tuple(-a for a in reversed(self.letters)))
+        return Word._from_valid(tuple(-a for a in reversed(self.letters)))
 
     def cyclic(self) -> "CyclicWord":
         """Canonical cyclic form of this word's conjugacy class."""
-        return CyclicWord(self.letters)
+        return CyclicWord._from_canonical(canonical_cyclic(self.letters))
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +184,13 @@ class CyclicWord:
         return Word(self.letters)
 
     def inverse(self) -> "CyclicWord":
-        return CyclicWord(tuple(-a for a in reversed(self.letters)))
+        """Canonical form of the inverse class.
+
+        The inverse of a cyclically reduced word is cyclically reduced,
+        so only its rotation changes.
+        """
+        inverse = tuple(-a for a in reversed(self.letters))
+        return CyclicWord._from_canonical(canonical_cyclic(inverse))
 
     def sort_key(self) -> tuple[int, ...]:
         """Key ordering canonical cyclic words lexicographically."""
@@ -211,12 +238,13 @@ def format_word(word: Word | CyclicWord | Iterable[int]) -> str:
     letters = tuple(word.letters if hasattr(word, "letters") else word)
     if not letters:
         return "1"
-    return " ".join(format_letter(a) for a in letters)
+    # format_letter, inlined: reports format every letter of every outcome.
+    return " ".join([f"x{a}" if a > 0 else f"x{-a}^-1" for a in letters])
 
 
 def concat(*words: Word) -> Word:
     """Juxtapose words left to right without reducing."""
-    return Word(tuple(chain.from_iterable(w.letters for w in words)))
+    return Word._from_valid(tuple(chain.from_iterable(w.letters for w in words)))
 
 
 def abelianize(word: Word | CyclicWord, rank: int) -> tuple[int, ...]:
@@ -234,8 +262,14 @@ def unoriented_cyclic_class(word: Word | CyclicWord) -> CyclicWord:
 
     This is the identity notion for surgered disk boundaries: a boundary
     curve has no preferred orientation, so words differing by rotation
-    and/or inversion name the same outcome.
+    and/or inversion name the same outcome. A :class:`CyclicWord` is used
+    as it is. Of the class and its inverse, the one with the smaller
+    letter at the first position where they differ is returned, the class
+    itself when they are equal.
     """
-    forward = CyclicWord(tuple(word.letters))
+    forward = word if isinstance(word, CyclicWord) else word.cyclic()
     backward = forward.inverse()
-    return min(forward, backward, key=CyclicWord.sort_key)
+    for a, b in zip(forward.letters, backward.letters):
+        if a != b:
+            return forward if letter_key(a) < letter_key(b) else backward
+    return forward

@@ -149,6 +149,17 @@ class TestSurgeries:
         assert code == 0
         assert out.count("word:") == 8
 
+    def test_fig1_pinned(self, capsys):
+        code, out, _ = run(capsys, "surgeries", "fig1", "--genus", "3")
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / "surgeries_fig1_genus3.txt").read_bytes()
+
+    def test_mixed_pinned(self, capsys, monkeypatch):
+        monkeypatch.chdir(GOLDEN)
+        code, out, _ = run(capsys, "surgeries", "mixed_rank3.json")
+        assert code == 0
+        assert out.encode("utf-8") == (GOLDEN / "surgeries_mixed_rank3.txt").read_bytes()
+
     def test_genus_with_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "pair.json"
         save_scenario(single_chord_system(["x1", "x2"], ["1", "1"]), path)

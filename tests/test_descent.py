@@ -84,6 +84,64 @@ class TestMatchesReference:
                 assert_same_descent(outcome.boundary_word, system.rank)
 
 
+@pytest.fixture
+def flows_per_step(monkeypatch):
+    """Counts ``_flow_reaches`` calls in every descent step.
+
+    Returns a list that gets one ``(flows, support rank)`` pair per
+    ``_reducing_step`` call, the final one that finds no step included.
+    """
+    steps = []
+    count = [0]
+    flow_reaches, reducing_step = primitivity._flow_reaches, primitivity._reducing_step
+
+    def counted_flow(*args):
+        count[0] += 1
+        return flow_reaches(*args)
+
+    def counted_step(letters, rank):
+        count[0] = 0
+        result = reducing_step(letters, rank)
+        steps.append((count[0], len({abs(a) for a in letters})))
+        return result
+
+    monkeypatch.setattr(primitivity, "_flow_reaches", counted_flow)
+    monkeypatch.setattr(primitivity, "_reducing_step", counted_step)
+    return steps
+
+
+class TestFlowsPerStep:
+    """The flow test of a multiplier's inverse repeats its own, so a step
+    runs at most one max flow per generator of the word's support."""
+
+    def check(self, steps):
+        assert all(flows <= support for flows, support in steps), steps
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(nielsen_images())
+    def test_nielsen_images(self, flows_per_step, case):
+        word, rank = case
+        if len(word.cyclic()) <= 60:
+            whitehead_minimize(word, rank)
+            self.check(flows_per_step)
+
+    def test_random_words(self, flows_per_step, rng):
+        for _ in range(100):
+            rank = rng.choice([2, 3, 4])
+            whitehead_minimize(random_word(rng, rank, 14), rank)
+        self.check(flows_per_step)
+        assert len(flows_per_step) > 100
+
+    def test_golden_pair_outcomes(self, flows_per_step):
+        for system in [builtin_scenario("fig1", g) for g in (3, 4, 5)] + \
+                [load_scenario(GOLDEN / "mixed_rank3.json")]:
+            for outcome in all_surgeries(system):
+                whitehead_minimize(outcome.boundary_word, system.rank)
+        self.check(flows_per_step)
+        assert any(flows > 1 for flows, _ in flows_per_step)
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_length_formula(rank, rng):
     """n + cap(A) - deg(a) is the cyclic length of the image under every

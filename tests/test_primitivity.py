@@ -212,6 +212,17 @@ class TestIsPrimitive:
             verdicts = {g: is_primitive(w, g).primitive for g in (2, 3, 4)}
             assert len(set(verdicts.values())) == 1, (w, verdicts)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=2, max_value=4), st.data(), st.booleans())
+    def test_empty_certificate_keeps_input_form(self, rank, data, use_oz):
+        # closure reports read an outcome's class off such a verdict.
+        alphabet = [i for i in range(-rank, rank + 1) if i != 0]
+        seq = tuple(data.draw(st.lists(st.sampled_from(alphabet), max_size=20)))
+        for word in (Word(seq), CyclicWord(seq)):
+            verdict = is_primitive(word, rank, use_oz=use_oz)
+            if not verdict.certificate:
+                assert verdict.minimal == CyclicWord(seq)
+
     def test_primitive_implies_unimodular_row(self, rng):
         for _ in range(300):
             w = random_word(rng, 3, 10)

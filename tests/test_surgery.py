@@ -2,6 +2,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from disksurgery import (
     DiskPairSystem,
@@ -21,11 +22,13 @@ from disksurgery import (
     unoriented_cyclic_class,
     validate_system,
 )
+from disksurgery.surgery import _crossing_pairs, _noncrossing
 from helpers import (
     DISK_E_WORD,
     OUTCOME_LONG,
     OUTCOME_SHORT,
     disjoint_system,
+    random_noncrossing_matching,
     random_system,
     single_chord_system,
 )
@@ -94,6 +97,54 @@ class TestValidate:
             for expected_code, mutate in mutations.items():
                 codes = {v.code for v in validate_system(mutate(system))}
                 assert expected_code in codes, (expected_code, codes)
+
+
+@st.composite
+def matchings(draw):
+    """A cyclic order of 2k points and a perfect matching of them: about
+    half the draws non-crossing by construction, the rest arbitrary."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        slots = random_noncrossing_matching(draw(st.randoms(use_true_random=False)), k)
+        start = draw(st.integers(min_value=0, max_value=2 * k - 1))
+        order = [f"p{(i + start) % (2 * k)}" for i in range(2 * k)]
+        chords = [(f"p{a}", f"p{b}") for a, b in slots]
+    else:
+        order = [f"p{i}" for i in draw(st.permutations(range(2 * k)))]
+        chords = [(f"p{2 * i}", f"p{2 * i + 1}") for i in range(k)]
+    return tuple(order), tuple(tuple(sorted(c)) for c in chords)
+
+
+class TestNoncrossingScan:
+    @given(matchings())
+    def test_agrees_with_pairwise_list(self, case):
+        order, chords = case
+        assert _noncrossing(order, chords) == (not _crossing_pairs(order, chords))
+
+    def test_both_verdicts_drawn(self):
+        seen = set()
+
+        @given(matchings())
+        def collect(case):
+            seen.add(_noncrossing(*case))
+
+        collect()
+        assert seen == {True, False}
+
+
+class TestValidateBadRank:
+    @pytest.mark.parametrize("rank", ["3", None, 1.5, 0])
+    def test_bad_rank_is_one_violation(self, fig1, rank):
+        violations = validate_system(replace(fig1, rank=rank))
+        assert [v.code for v in violations] == ["bad-rank"]
+
+    def test_out_of_range_index_named_once_per_label(self, fig1):
+        label = Word((4, -4, 5, 4, 1, -5))
+        violations = validate_system(replace(fig1, labels_e=(label,) + fig1.labels_e[1:]))
+        assert [str(v) for v in violations] == [
+            "label-rank-e: labels_e[0] uses generator index 4 beyond rank 3",
+            "label-rank-e: labels_e[0] uses generator index 5 beyond rank 3",
+        ]
 
 
 class TestBoundaryWord:

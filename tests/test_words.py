@@ -1,7 +1,7 @@
 import doctest
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import disksurgery.words
 from disksurgery.words import MAX_RANK
@@ -188,3 +188,88 @@ class TestUnorientedClass:
         expected = unoriented_cyclic_class(w)
         assert unoriented_cyclic_class(u * w * u.inverse()) == expected
         assert unoriented_cyclic_class(w.inverse()) == expected
+
+
+def brute_free_reduce(seq):
+    out = []
+    for a in seq:
+        if out and out[-1] == -a:
+            out.pop()
+        else:
+            out.append(a)
+    return tuple(out)
+
+
+def brute_cyclic_reduce(seq):
+    """Cancel adjacent inverse pairs, cyclically, until none is left."""
+    w = list(seq)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(w)):
+            j = (i + 1) % len(w)
+            if len(w) >= 2 and w[i] == -w[j]:
+                del w[max(i, j)], w[min(i, j)]
+                changed = True
+                break
+    return tuple(w)
+
+
+def least_of_rotations(*words):
+    """Least rotation of any of ``words`` under x1 < x1^-1 < x2 < ..."""
+    rotations = [w[r:] + w[:r] for w in words for r in range(max(len(w), 1))]
+    return min(rotations, key=lambda w: [2 * abs(a) - (a > 0) for a in w])
+
+
+def invert(seq):
+    return tuple(-a for a in reversed(seq))
+
+
+# The backend stays swapped for every example, as intended.
+SWAPPED = settings(max_examples=80, deadline=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestTrustedPaths:
+    """Results built from checked words skip the checks; they must equal
+    what the checking constructors give."""
+
+    @SWAPPED
+    @given(letters(rank=4, max_size=40))
+    def test_unoriented_class_is_least_rotation_of_either(self, backend, seq):
+        reduced = brute_cyclic_reduce(seq)
+        want = least_of_rotations(reduced, invert(reduced))
+        assert unoriented_cyclic_class(Word(tuple(seq))).letters == want
+        assert unoriented_cyclic_class(CyclicWord(tuple(seq))).letters == want
+
+    @SWAPPED
+    @given(letters(rank=4, max_size=40))
+    def test_cyclic_inverse_is_least_rotation_of_inverse(self, backend, seq):
+        inverse = CyclicWord(tuple(seq)).inverse()
+        assert inverse.letters == least_of_rotations(invert(brute_cyclic_reduce(seq)))
+        assert inverse == CyclicWord(invert(seq))
+
+    @SWAPPED
+    @given(letters(), letters())
+    def test_derived_words_equal_checked_ones(self, backend, left, right):
+        u, v = Word(tuple(left)), Word(tuple(right))
+        derived = [
+            (concat(u, v), Word(tuple(left) + tuple(right))),
+            (u * v, Word(tuple(left) + tuple(right))),
+            (u.inverse(), Word(invert(left))),
+            (u.reduced(), Word(brute_free_reduce(left))),
+        ]
+        for got, want in derived:
+            assert type(got) is Word and type(got.letters) is tuple
+            assert got == want
+        cyclic = u.cyclic()
+        assert type(cyclic) is CyclicWord and type(cyclic.letters) is tuple
+        assert cyclic == CyclicWord(tuple(left))
+        assert cyclic.letters == least_of_rotations(brute_cyclic_reduce(left))
+
+    @pytest.mark.parametrize("cls, bad", [
+        (Word, (0,)), (Word, (2**70,)), (Word, (1.5,)), (CyclicWord, ("a",)),
+    ])
+    def test_public_constructors_still_check(self, cls, bad):
+        with pytest.raises(ValueError):
+            cls(bad)
