@@ -1,11 +1,21 @@
 """Kernel backend selection.
 
-The hot inner loops (free reduction, cyclic canonicalization, Whitehead
-substitution) exist twice: a hand-written C extension ``_core``, which
-``setup.py`` builds from ``_core.c`` when a C compiler is present, and the
-pure-Python reference ``pyops``. The compiled core is picked at import
-time when built; set ``DISKSURGERY_KERNEL=pure`` or ``=compiled`` to force
-a backend (forcing ``compiled`` raises if the extension was not built).
+The hot inner loops exist twice: a hand-written C extension ``_core``,
+which ``setup.py`` builds from ``_core.c`` when a C compiler is present,
+and the pure-Python reference ``pyops``. Both export the same kernels:
+
+* ``free_reduce``, ``cyclic_reduce`` and ``canonical_cyclic`` (cyclic
+  reduction, then the least rotation);
+* ``least_rotation`` alone, for words already cyclically reduced;
+* ``apply_images(letters, flat, offsets)``, Whitehead substitution by an
+  image table, freely reduced;
+* ``apply_images_canonical(letters, flat, offsets, max_len=None)``, the
+  same in canonical cyclic form, or ``None`` without any rotation when
+  the cyclic reduction is longer than ``max_len``.
+
+The compiled core is picked at import time when built; set
+``DISKSURGERY_KERNEL=pure`` or ``=compiled`` to force a backend (forcing
+``compiled`` raises if the extension was not built).
 """
 
 import os
@@ -60,5 +70,6 @@ letter_key = pyops.letter_key
 free_reduce = _impl.free_reduce
 cyclic_reduce = _impl.cyclic_reduce
 canonical_cyclic = _impl.canonical_cyclic
+least_rotation = _impl.least_rotation
 apply_images = _impl.apply_images
 apply_images_canonical = _impl.apply_images_canonical

@@ -1,6 +1,7 @@
 /* Compiled word kernels. Results match ``pyops``, the reference and the
- * fallback, and so does the exception type (ValueError) for a letter that
- * an image table does not cover.
+ * fallback, and so do the exception types: ValueError for a malformed
+ * image table, a letter the table does not cover or a negative max_len,
+ * TypeError for a max_len that is not an int or None.
  *
  * Letters are copied into C arrays of long. A value that does not fit, or
  * LONG_MIN, is rejected, so negating a letter never overflows, and every
@@ -11,7 +12,9 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 
-enum form { REDUCED, CYCLIC, CANONICAL };
+/* What a kernel does to a word, as bits: free reduction, stripping the
+ * cancelling ends (cyclic reduction), rotating to the least rotation. */
+enum { REDUCE = 1, STRIP = 2, ROTATE = 4 };
 
 /* Copy an int sequence into a fresh array (free with PyMem_Free). A value
  * outside (LONG_MIN, LONG_MAX] raises `range_error`. */
@@ -75,7 +78,7 @@ order(long a)
 
 /* Start of the least rotation of w[0:n] (two-pointer scan, linear time). */
 static Py_ssize_t
-least_rotation(const long *w, Py_ssize_t n)
+least_start(const long *w, Py_ssize_t n)
 {
     Py_ssize_t i = 0, j = 1, k = 0;
     while (i < n && j < n && k < n) {
@@ -96,19 +99,23 @@ least_rotation(const long *w, Py_ssize_t n)
     return i < j ? i : j;
 }
 
-/* The freely reduced buf[0:n] in the given form, as a tuple of ints. */
+/* buf[0:n], with its ends stripped and rotated as `form` asks, as a tuple
+ * of ints; None, with nothing rotated or boxed, when what is left is
+ * longer than max_len. */
 static PyObject *
-box(const long *buf, Py_ssize_t n, enum form form)
+box(const long *buf, Py_ssize_t n, int form, Py_ssize_t max_len)
 {
     Py_ssize_t lo = 0, hi = n, best = 0;
-    if (form != REDUCED)
+    if (form & STRIP)
         while (hi - lo >= 2 && buf[lo] == -buf[hi - 1]) {
             lo++;
             hi--;
         }
     Py_ssize_t m = hi - lo;
-    if (form == CANONICAL)
-        best = least_rotation(buf + lo, m);
+    if (m > max_len)
+        Py_RETURN_NONE;
+    if (form & ROTATE)
+        best = least_start(buf + lo, m);
     PyObject *out = PyTuple_New(m);
     if (out == NULL)
         return NULL;
@@ -123,17 +130,20 @@ box(const long *buf, Py_ssize_t n, enum form form)
     return out;
 }
 
-/* free_reduce, cyclic_reduce and canonical_cyclic. */
+/* free_reduce, cyclic_reduce, canonical_cyclic and least_rotation. */
 static PyObject *
-word(PyObject *letters, enum form form)
+word(PyObject *letters, int form)
 {
     Py_ssize_t n, top = 0;
     long *buf = unbox(letters, &n, PyExc_OverflowError);
     if (buf == NULL)
         return NULL;
-    for (Py_ssize_t i = 0; i < n; i++)
-        push(buf, &top, buf[i]);  /* in place: top <= i */
-    PyObject *out = box(buf, top, form);
+    if (form & REDUCE)
+        for (Py_ssize_t i = 0; i < n; i++)
+            push(buf, &top, buf[i]);  /* in place: top <= i */
+    else
+        top = n;
+    PyObject *out = box(buf, top, form, PY_SSIZE_T_MAX);
     PyMem_Free(buf);
     return out;
 }
@@ -191,19 +201,48 @@ done:
     return out;
 }
 
-/* apply_images and apply_images_canonical. */
-static PyObject *
-images(PyObject *const *args, Py_ssize_t nargs, enum form form)
+/* max_len of apply_images_canonical: None is no bound, PY_SSIZE_T_MAX. */
+static int
+bound(PyObject *arg, Py_ssize_t *max_len)
 {
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "expected (letters, flat, offsets)");
+    int overflow;
+    long long v;
+    *max_len = PY_SSIZE_T_MAX;
+    if (arg == Py_None)
+        return 0;
+    if (!PyLong_Check(arg)) {
+        PyErr_Format(PyExc_TypeError, "max_len must be an int or None, got %R", arg);
+        return -1;
+    }
+    v = PyLong_AsLongLongAndOverflow(arg, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow < 0 || (!overflow && v < 0)) {
+        PyErr_Format(PyExc_ValueError, "max_len must be >= 0, got %R", arg);
+        return -1;
+    }
+    if (!overflow && v < PY_SSIZE_T_MAX)
+        *max_len = (Py_ssize_t)v;
+    return 0;
+}
+
+/* apply_images (form 0) and apply_images_canonical, whose fourth argument
+ * is an optional max_len. */
+static PyObject *
+images(PyObject *const *args, Py_ssize_t nargs, int form)
+{
+    Py_ssize_t n, max_len = PY_SSIZE_T_MAX;
+    if (form == 0 ? nargs != 3 : nargs < 3 || nargs > 4) {
+        PyErr_SetString(PyExc_TypeError, form == 0 ? "expected (letters, flat, offsets)"
+                        : "expected (letters, flat, offsets[, max_len])");
         return NULL;
     }
-    Py_ssize_t n;
+    if (nargs == 4 && bound(args[3], &max_len) < 0)
+        return NULL;
     long *buf = substitute(args, &n);
     if (buf == NULL)
         return NULL;
-    PyObject *out = box(buf, n, form);
+    PyObject *out = box(buf, n, form, max_len);
     PyMem_Free(buf);
     return out;
 }
@@ -211,31 +250,37 @@ images(PyObject *const *args, Py_ssize_t nargs, enum form form)
 static PyObject *
 free_reduce(PyObject *self, PyObject *letters)
 {
-    return word(letters, REDUCED);
+    return word(letters, REDUCE);
 }
 
 static PyObject *
 cyclic_reduce(PyObject *self, PyObject *letters)
 {
-    return word(letters, CYCLIC);
+    return word(letters, REDUCE | STRIP);
 }
 
 static PyObject *
 canonical_cyclic(PyObject *self, PyObject *letters)
 {
-    return word(letters, CANONICAL);
+    return word(letters, REDUCE | STRIP | ROTATE);
+}
+
+static PyObject *
+least_rotation(PyObject *self, PyObject *letters)
+{
+    return word(letters, ROTATE);
 }
 
 static PyObject *
 apply_images(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    return images(args, nargs, REDUCED);
+    return images(args, nargs, 0);
 }
 
 static PyObject *
 apply_images_canonical(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    return images(args, nargs, CANONICAL);
+    return images(args, nargs, STRIP | ROTATE);
 }
 
 static PyMethodDef methods[] = {
@@ -245,10 +290,13 @@ static PyMethodDef methods[] = {
      "Cyclically reduced form: freely reduce, then strip cancelling ends."},
     {"canonical_cyclic", canonical_cyclic, METH_O,
      "Canonical representative of the conjugacy class of a letter sequence."},
+    {"least_rotation", least_rotation, METH_O,
+     "Lexicographically least rotation under the canonical letter order."},
     {"apply_images", (PyCFunction)(void (*)(void))apply_images, METH_FASTCALL,
      "Substitute each letter by its image and freely reduce (see pyops)."},
     {"apply_images_canonical", (PyCFunction)(void (*)(void))apply_images_canonical,
-     METH_FASTCALL, "Image of a conjugacy class: substitute, then canonical cyclic form."},
+     METH_FASTCALL, "Image of a conjugacy class: substitute, then canonical cyclic form;\n"
+     "None when the cyclic reduction is longer than the optional max_len."},
     {NULL, NULL, 0, NULL},
 };
 

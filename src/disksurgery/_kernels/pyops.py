@@ -2,7 +2,15 @@
 
 The reference implementation, and the fallback when the compiled core is
 unavailable; the two backends give the same results and exception types
-(the test suite cross-checks them).
+(the test suite cross-checks them). The kernel set:
+
+* :func:`free_reduce`, :func:`cyclic_reduce` and :func:`canonical_cyclic`;
+* :func:`least_rotation`, the rotation alone, for words already
+  cyclically reduced;
+* :func:`apply_images`, substitution by an image table, and
+  :func:`apply_images_canonical`, the same followed by the canonical
+  cyclic form, or ``None`` when the cyclic reduction is longer than an
+  optional ``max_len``.
 
 Letters are nonzero ints: ``+i`` is the generator ``x_i``, ``-i`` its
 inverse. The canonical letter order is x1 < x1^-1 < x2 < x2^-1 < ...,
@@ -19,7 +27,7 @@ def letter_key(letter):
     return 2 * (-letter - 1) + 1
 
 
-def free_reduce(letters):
+def free_reduce(letters, /):
     """Freely reduced form of a letter sequence, as a tuple."""
     out = []
     for a in letters:
@@ -30,7 +38,7 @@ def free_reduce(letters):
     return tuple(out)
 
 
-def cyclic_reduce(letters):
+def cyclic_reduce(letters, /):
     """Cyclically reduced form: freely reduce, then strip cancelling ends."""
     w = free_reduce(letters)
     lo, hi = 0, len(w)
@@ -40,18 +48,16 @@ def cyclic_reduce(letters):
     return w[lo:hi]
 
 
-def least_rotation(letters):
-    """Lexicographically least rotation under the canonical letter order.
+def _least_start(w):
+    """Start of the least rotation of the list ``w``.
 
     Two-pointer scan, linear time even on periodic words: candidates
     ``i`` and ``j`` are compared ``k`` letters deep, and the loser moves
     past the ``k + 1`` starts that cannot beat the winner.
     """
-    w = tuple(letters)
     n = len(w)
-    if n <= 1:
-        return w
-    keys = [letter_key(a) for a in w]
+    # letter_key of each letter, inlined, twice over.
+    keys = [a + a - 2 if a > 0 else -a - a - 1 for a in w]
     keys += keys
     i, j, k = 0, 1, 0
     while i < n and j < n and k < n:
@@ -66,41 +72,92 @@ def least_rotation(letters):
         if i == j:
             j += 1
         k = 0
-    best = min(i, j)
-    return w[best:] + w[:best]
+    return min(i, j)
 
 
-def canonical_cyclic(letters):
+def least_rotation(letters, /):
+    """Lexicographically least rotation under the canonical letter order."""
+    w = list(letters)
+    best = _least_start(w)
+    return tuple(w[best:] + w[:best])
+
+
+def canonical_cyclic(letters, /):
     """Canonical representative of the conjugacy class of a letter sequence."""
     return least_rotation(cyclic_reduce(letters))
 
 
-def apply_images(letters, flat, offsets):
+_BOTTOM = object()  # under every reduction stack: equal to no letter
+
+
+def _substitute(letters, flat, offsets):
+    """Substitute each letter by its image and freely reduce, onto a stack.
+
+    Returns the list ``[_BOTTOM, *reduced]``. The table is checked first,
+    as in the compiled core: ``offsets[0] >= 0``, offsets non-decreasing
+    and the last no larger than ``len(flat)``, or ``ValueError``. It is
+    then sliced into one image per letter slot, indexed by the slot's
+    ``letter_key``.
+    """
+    images = []
+    if len(offsets):
+        lo = offsets[0]
+        if lo < 0 or offsets[-1] > len(flat):
+            raise ValueError("malformed image table")
+        for hi in offsets[1:]:
+            if hi < lo:
+                raise ValueError("malformed image table")
+            images.append(flat[lo:hi])
+            lo = hi
+    if 0 in letters:
+        raise ValueError("letter 0 has no image")
+    out = [_BOTTOM]
+    push, pop = out.append, out.pop
+    try:
+        for a in letters:
+            # letter_key(a), inlined; past the last slot is an IndexError.
+            for b in images[a + a - 2 if a > 0 else -a - a - 1]:
+                if out[-1] == -b:
+                    pop()
+                else:
+                    push(b)
+    except IndexError:
+        raise ValueError("a letter has no image in the table") from None
+    return out
+
+
+def apply_images(letters, flat, offsets, /):
     """Substitute each letter by its image and freely reduce.
 
     The image of a letter ``l`` is ``flat[offsets[k]:offsets[k+1]]`` with
     ``k = letter_key(l)``; ``flat``/``offsets`` are flat int sequences so
-    both backends share one automorphism encoding. A letter the table does
-    not cover (``0``, or one whose ``letter_key(l) + 1`` is past the end of
-    ``offsets``) raises ``ValueError``, as in the compiled backend.
+    both backends share one automorphism encoding. A malformed table, or a
+    letter the table does not cover (``0``, or one whose
+    ``letter_key(l) + 1`` is past the end of ``offsets``), raises
+    ``ValueError``, as in the compiled backend.
     """
-    if 0 in letters:
-        raise ValueError("letter 0 has no image")
-    out = []
-    try:
-        for a in letters:
-            k = letter_key(a)
-            for j in range(offsets[k], offsets[k + 1]):
-                b = flat[j]
-                if out and out[-1] == -b:
-                    out.pop()
-                else:
-                    out.append(b)
-    except IndexError:
-        raise ValueError("a letter has no image in the table") from None
-    return tuple(out)
+    return tuple(_substitute(letters, flat, offsets)[1:])
 
 
-def apply_images_canonical(letters, flat, offsets):
-    """Image of a conjugacy class: substitute, then canonical cyclic form."""
-    return least_rotation(cyclic_reduce(apply_images(letters, flat, offsets)))
+def apply_images_canonical(letters, flat, offsets, max_len=None, /):
+    """Image of a conjugacy class: substitute, then canonical cyclic form.
+
+    Returns ``None`` instead when the cyclic reduction is longer than
+    ``max_len``, without rotating it; ``max_len`` is ``None`` (no bound)
+    or an int from 0 up.
+    """
+    if max_len is not None:
+        if not isinstance(max_len, int):
+            raise TypeError(f"max_len must be an int or None, got {max_len!r}")
+        if max_len < 0:
+            raise ValueError(f"max_len must be >= 0, got {max_len}")
+    out = _substitute(letters, flat, offsets)
+    lo, hi = 1, len(out)
+    while hi - lo >= 2 and out[lo] == -out[hi - 1]:
+        lo += 1
+        hi -= 1
+    if max_len is not None and hi - lo > max_len:
+        return None
+    w = out[lo:hi]
+    best = _least_start(w)
+    return tuple(w[best:] + w[:best])

@@ -46,7 +46,8 @@ from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from ._kernels import apply_images, apply_images_canonical, cyclic_reduce, letter_key
+from ._kernels import (apply_images, apply_images_canonical, cyclic_reduce, least_rotation,
+                       letter_key)
 from .words import CyclicWord, Word, check_rank, format_letter
 
 __all__ = [
@@ -238,9 +239,10 @@ def enumerate_whitehead_autos(rank: int) -> tuple[WhiteheadAuto, ...]:
 
 
 def _check_support(letters, rank: int):
-    for a in letters:
-        if abs(a) > rank:
-            raise ValueError(f"generator index {abs(a)} exceeds rank {rank}")
+    if letters and (max(letters) > rank or min(letters) < -rank):
+        for a in letters:
+            if abs(a) > rank:
+                raise ValueError(f"generator index {abs(a)} exceeds rank {rank}")
 
 
 def apply_auto(auto: WhiteheadAuto, word: Word) -> Word:
@@ -405,7 +407,8 @@ def _reducing_step(letters, rank):
     return None
 
 
-def whitehead_minimize(word: Word | CyclicWord, rank: int) -> PrimitivityVerdict:
+def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
+                       _checked: bool = False) -> PrimitivityVerdict:
     """Greedy first-improvement descent to an orbit-minimal cyclic word.
 
     Repeatedly applies the first enumerated automorphism that strictly
@@ -426,9 +429,13 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int) -> PrimitivityVerdict
     entry in turn would find first, and it is the only one applied;
     ``RuntimeError`` is raised if the image's length is not the predicted
     one. A word that is already minimal never builds the table.
+
+    ``_checked`` is for :func:`is_primitive`, which has checked the rank
+    and the word's support already.
     """
-    check_rank(rank)
-    _check_support(word.letters, rank)
+    if not _checked:
+        check_rank(rank)
+        _check_support(word.letters, rank)
     current = word if isinstance(word, CyclicWord) else CyclicWord(word.letters)
     certificate = []
     while len(current) > 1:
@@ -441,7 +448,7 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int) -> PrimitivityVerdict
             raise RuntimeError(f"{auto.describe()} gave length {len(image)}, "
                                f"predicted {predicted}")
         certificate.append(auto)
-        current = CyclicWord(image)
+        current = CyclicWord._from_canonical(least_rotation(image))
     return PrimitivityVerdict(
         primitive=len(current) == 1,
         certificate=tuple(certificate),
@@ -474,12 +481,13 @@ def is_primitive(word: Word | CyclicWord, rank: int, *, use_oz: bool = True) -> 
     check_rank(rank)
     _check_support(word.letters, rank)
     cyclic = word if isinstance(word, CyclicWord) else word.cyclic()
-    if use_oz and cyclic.letters and all(abs(a) <= 2 for a in cyclic.letters):
+    letters = cyclic.letters
+    if use_oz and letters and max(letters) <= 2 and min(letters) >= -2:
         if oz_rank2_nonprimitive(cyclic):
             return PrimitivityVerdict(
                 primitive=False, certificate=(), minimal=cyclic, oz_fired=True
             )
-    return whitehead_minimize(cyclic, rank)
+    return whitehead_minimize(cyclic, rank, _checked=True)
 
 
 def _resolve_cap(node_cap: int | None) -> int:
@@ -515,7 +523,9 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
     ``(L - A, a^-1)``, so the two agree on cyclic words; ``({a}, a)`` is
     the identity and ``(L - {a^-1}, a)`` is conjugation by ``a``. The
     closure is therefore the one under the whole table. Each image is
-    canonicalized once, by the kernel, and each kept word becomes a
+    canonicalized once, by the kernel, which is given ``max_len``: an
+    image whose cyclic reduction is longer is never rotated or made a
+    tuple, and comes back as ``None``. Each kept word becomes a
     :class:`CyclicWord` only at the end.
 
     Intended as an independent ground truth for :func:`is_primitive` at
@@ -540,8 +550,8 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
         next_frontier = []
         for letters in frontier:
             for flat, offsets in tables:
-                image = apply_images_canonical(letters, flat, offsets)
-                if len(image) <= max_len and image not in seen:
+                image = apply_images_canonical(letters, flat, offsets, max_len)
+                if image is not None and image not in seen:
                     seen.add(image)
                     if len(seen) > cap:
                         raise OracleCapExceeded(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator
 
-from ._kernels import canonical_cyclic, cyclic_reduce, free_reduce, letter_key
+from ._kernels import canonical_cyclic, free_reduce, least_rotation, letter_key
 
 __all__ = [
     "Word",
@@ -189,8 +189,7 @@ class CyclicWord:
         The inverse of a cyclically reduced word is cyclically reduced,
         so only its rotation changes.
         """
-        inverse = tuple(-a for a in reversed(self.letters))
-        return CyclicWord._from_canonical(canonical_cyclic(inverse))
+        return CyclicWord._from_canonical(least_rotation([-a for a in reversed(self.letters)]))
 
     def sort_key(self) -> tuple[int, ...]:
         """Key ordering canonical cyclic words lexicographically."""

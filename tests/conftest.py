@@ -9,8 +9,8 @@ from helpers import SOURCE_ROOT
 
 # The kernel names the descent, the oracle and the words module call, per module.
 KERNEL_NAMES = {
-    primitivity: ("apply_images", "apply_images_canonical", "cyclic_reduce"),
-    words: ("canonical_cyclic", "cyclic_reduce", "free_reduce"),
+    primitivity: ("apply_images", "apply_images_canonical", "cyclic_reduce", "least_rotation"),
+    words: ("canonical_cyclic", "free_reduce", "least_rotation"),
 }
 
 

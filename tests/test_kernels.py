@@ -45,6 +45,20 @@ class TestLeastRotation:
         # scan takes seconds on these.
         assert pure.least_rotation(u * m) == brute_least_rotation(u) * m
 
+    @given(letters, st.integers(min_value=1, max_value=4))
+    def test_compiled(self, compiled, seq, repeats):
+        seq = seq * repeats
+        assert compiled.least_rotation(seq) == brute_least_rotation(seq)
+
+    def test_compiled_long_power(self, compiled):
+        assert compiled.least_rotation((2, -1, 3) * 3000) == brute_least_rotation((2, -1, 3)) * 3000
+
+    def test_compiled_letter_checks(self, compiled):
+        # The same checks as canonical_cyclic: a letter must fit a C long.
+        for kernel in (compiled.least_rotation, compiled.canonical_cyclic):
+            with pytest.raises(OverflowError):
+                kernel((1, 2**70))
+
 
 class TestBackendsAgree:
     @given(letters)
@@ -70,6 +84,75 @@ class TestBackendsAgree:
         assert compiled.apply_images(seq, flat, offsets) == pure.apply_images(seq, flat, offsets)
         assert compiled.apply_images_canonical(seq, flat, offsets) == \
             pure.apply_images_canonical(seq, flat, offsets)
+
+
+@st.composite
+def tables_and_words(draw):
+    slots = draw(st.integers(min_value=0, max_value=8))
+    images = [draw(st.lists(st.integers(min_value=-4, max_value=4), max_size=4))
+              for _ in range(slots)]
+    flat = [b for image in images for b in image]
+    offsets = [0]
+    for image in images:
+        offsets.append(offsets[-1] + len(image))
+    # Letters the table covers: those whose letter_key is below `slots`.
+    covered = [a for a in (1, -1, 2, -2, 3, -3, 4, -4) if pure.letter_key(a) < slots]
+    word = draw(st.lists(st.sampled_from(covered), max_size=30)) if covered else []
+    return word, flat, offsets
+
+
+class TestMaxLen:
+    """apply_images_canonical with a bound: None past it, else unchanged."""
+
+    @given(tables_and_words())
+    def test_backends_agree(self, compiled, case):
+        word, flat, offsets = case
+        full = pure.apply_images_canonical(word, flat, offsets)
+        assert compiled.apply_images_canonical(word, flat, offsets) == full
+        n = len(full)
+        for max_len in (n - 1, n, 0, None):
+            if max_len is not None and max_len < 0:
+                continue
+            want = None if max_len is not None and n > max_len else full
+            for kernel in (pure, compiled):
+                assert kernel.apply_images_canonical(word, flat, offsets, max_len) == want
+
+    @given(letters, st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=40))
+    def test_whitehead_tables(self, compiled, seq, pick, max_len):
+        autos = enumerate_whitehead_autos(4)
+        auto = autos[pick % len(autos)]
+        args = (seq, auto._flat, auto._offsets, max_len)
+        assert compiled.apply_images_canonical(*args) == pure.apply_images_canonical(*args)
+
+    @pytest.mark.parametrize("max_len,error", [
+        (-1, ValueError), (-2**70, ValueError), (1.0, TypeError), ("3", TypeError),
+    ])
+    def test_bad_bound_same_error(self, compiled, max_len, error):
+        auto = enumerate_whitehead_autos(2)[5]
+        for kernel in (pure, compiled):
+            with pytest.raises(error):
+                kernel.apply_images_canonical((1, 2), auto._flat, auto._offsets, max_len)
+
+    def test_huge_bound_is_no_bound(self, compiled):
+        auto = enumerate_whitehead_autos(2)[5]
+        for kernel in (pure, compiled):
+            assert kernel.apply_images_canonical((1, 2), auto._flat, auto._offsets, 2**70) == \
+                kernel.apply_images_canonical((1, 2), auto._flat, auto._offsets)
+
+    @pytest.mark.parametrize("kernel_name", ["apply_images", "apply_images_canonical"])
+    def test_table_arguments_are_positional_only(self, compiled, kernel_name):
+        auto = enumerate_whitehead_autos(2)[5]
+        for kernel in (pure, compiled):
+            with pytest.raises(TypeError):
+                getattr(kernel, kernel_name)((1, 2), auto._flat, offsets=auto._offsets)
+
+
+def test_backends_export_the_same_kernels(compiled):
+    names = ("BACKEND", "free_reduce", "cyclic_reduce", "canonical_cyclic", "least_rotation",
+             "apply_images", "apply_images_canonical")
+    public = {name for name in dir(pure) if not name.startswith("_")} - {"letter_key"}
+    assert public == set(names)
+    assert {name for name in dir(compiled) if not name.startswith("_")} == public
 
 
 class TestSelection:
@@ -150,9 +233,51 @@ if sys.argv[1:]:
     spec.loader.exec_module(kernels)
 flat, offsets = array("l", [1, 2, -2, -1, 2, -2]), array("l", [0, 2, 4, 5, 6])
 for letter in (3, -3, 0, 2**40, 2**70):
-    for kernel in (kernels.apply_images, kernels.apply_images_canonical):
+    for call in (lambda: kernels.apply_images((1, letter), flat, offsets),
+                 lambda: kernels.apply_images_canonical((1, letter), flat, offsets),
+                 lambda: kernels.apply_images_canonical((1, letter), flat, offsets, 1)):
         try:
-            kernel((1, letter), flat, offsets)
+            call()
+            print("returned")
+        except Exception as exc:
+            print(type(exc).__name__)
+"""
+
+
+def run_probe(probe, backend, request):
+    # In a child interpreter, so that a crash fails the test instead of
+    # ending the run.
+    argv = [request.getfixturevalue("compiled").__file__] if backend == "compiled" else []
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True, text=True, env=child_env("pure"),
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+@pytest.mark.parametrize("backend", ["pure", "compiled"])
+def test_uncovered_letters_raise_value_error(backend, request):
+    assert run_probe(UNCOVERED_PROBE, backend, request) == ["ValueError"] * 15
+
+
+# Feeds tables whose offsets go backwards, start below 0 or end past
+# `flat` to the table kernels of one backend, with and without a bound.
+MALFORMED_PROBE = """
+import importlib.util, sys
+from disksurgery._kernels import pyops as kernels
+if sys.argv[1:]:
+    spec = importlib.util.spec_from_file_location("_core", sys.argv[1])
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+flat = [1, 2, -2, -1, 2, -2]
+for offsets in ([0, 4, 2, 5, 6], [-1, 2, 4, 5, 6], [0, 2, 4, 5, 9], [0, 2, 4, 5, 7]):
+    for call in (lambda: kernels.apply_images((1, 2, -1), flat, offsets),
+                 lambda: kernels.apply_images_canonical((1, 2, -1), flat, offsets),
+                 lambda: kernels.apply_images_canonical((1, 2, -1), flat, offsets, 0),
+                 lambda: kernels.apply_images_canonical((1, 2, -1), flat, offsets, 9)):
+        try:
+            call()
             print("returned")
         except Exception as exc:
             print(type(exc).__name__)
@@ -160,13 +285,5 @@ for letter in (3, -3, 0, 2**40, 2**70):
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_uncovered_letters_raise_value_error(backend, request):
-    # In a child interpreter, so that a crash fails the test instead of
-    # ending the run.
-    argv = [request.getfixturevalue("compiled").__file__] if backend == "compiled" else []
-    out = subprocess.run(
-        [sys.executable, "-c", UNCOVERED_PROBE, *argv],
-        capture_output=True, text=True, env=child_env("pure"),
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["ValueError"] * 10
+def test_malformed_tables_raise_value_error(backend, request):
+    assert run_probe(MALFORMED_PROBE, backend, request) == ["ValueError"] * 16

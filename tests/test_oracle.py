@@ -83,3 +83,22 @@ def test_nonpositive_cap_env_rejected(raw, monkeypatch):
     monkeypatch.setenv("DISKSURGERY_ORACLE_CAP", raw)
     with pytest.raises(ValueError, match="DISKSURGERY_ORACLE_CAP must be >= 1"):
         oracle_primitives(2, 4)
+
+
+@pytest.mark.parametrize("rank,max_len", [(2, 7), (3, 3)])
+def test_kernel_is_given_the_bound(rank, max_len, monkeypatch):
+    # Images longer than max_len come back as None, never rotated.
+    want = reference_oracle(rank, max_len)
+    bounds, dropped = set(), []
+    kernel = primitivity.apply_images_canonical
+
+    def spy(*args):
+        bounds.add(args[3:])
+        image = kernel(*args)
+        dropped.append(image is None)
+        return image
+
+    monkeypatch.setattr(primitivity, "apply_images_canonical", spy)
+    assert oracle_primitives(rank, max_len) == want
+    assert bounds == {(max_len,)}
+    assert any(dropped)

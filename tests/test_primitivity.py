@@ -19,6 +19,7 @@ from disksurgery import (
     replay_certificate,
     whitehead_minimize,
 )
+from disksurgery import primitivity
 from disksurgery.primitivity import OracleCapExceeded
 from helpers import DISK_E_WORD, OUTCOME_LONG, OUTCOME_SHORT, random_word
 
@@ -197,6 +198,28 @@ class TestIsPrimitive:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="exceeds rank"):
             is_primitive(Word((4,)), 3)
+
+    @pytest.mark.parametrize("check", [is_primitive, whitehead_minimize])
+    def test_first_offending_letter_named(self, check):
+        # x3 cancels out of the cyclic word, and x4 comes after x5 in
+        # the word: the support is checked on the word as given.
+        with pytest.raises(ValueError, match="generator index 3 exceeds rank 2"):
+            check(Word((3, 1, -3)), 2)
+        with pytest.raises(ValueError, match="generator index 5 exceeds rank 3"):
+            check(Word((1, -5, 2, 4)), 3)
+
+    def test_support_checked_once(self, monkeypatch):
+        calls = []
+        original = primitivity._check_support
+
+        def counted(letters, rank):
+            calls.append(None)
+            return original(letters, rank)
+
+        monkeypatch.setattr(primitivity, "_check_support", counted)
+        verdict = is_primitive(parse_word("x1 x2 x3 x1 x2", 3), 3, use_oz=False)
+        assert verdict.primitive and verdict.certificate
+        assert len(calls) == 1
 
     def test_invariance_under_conjugation_and_inversion(self, rng):
         for _ in range(150):
