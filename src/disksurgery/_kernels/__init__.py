@@ -7,11 +7,12 @@ and the pure-Python reference ``pyops``. Both export the same kernels:
 * ``free_reduce``, ``cyclic_reduce`` and ``canonical_cyclic`` (cyclic
   reduction, then the least rotation);
 * ``least_rotation`` alone, for words already cyclically reduced;
-* ``apply_images(letters, flat, offsets)``, Whitehead substitution by an
-  image table, freely reduced;
-* ``apply_images_canonical(letters, flat, offsets, max_len=None)``, the
-  same in canonical cyclic form, or ``None`` without any rotation when
-  the cyclic reduction is longer than ``max_len``.
+* ``apply_images(letters, images)``, Whitehead substitution by an image
+  table, freely reduced: ``images[letter_key(a)]`` is the image of ``a``,
+  as in ``WhiteheadAuto.images``;
+* ``apply_images_canonical(letters, images, max_len=None)``, the same in
+  canonical cyclic form, or ``None`` without any rotation when the cyclic
+  reduction is longer than ``max_len``.
 
 The compiled core is picked at import time when built; set
 ``DISKSURGERY_KERNEL=pure`` or ``=compiled`` to force a backend (forcing

@@ -1,13 +1,15 @@
 /* Compiled word kernels. Results match ``pyops``, the reference and the
- * fallback, and so do the exception types: ValueError for a malformed
- * image table, a letter the table does not cover or a negative max_len,
- * TypeError for a max_len that is not an int or None.
+ * fallback, and so do the exception types: ValueError for a letter the
+ * image table (WhiteheadAuto.images) does not cover or a negative max_len,
+ * TypeError for a table or image that is not a sequence, or a max_len
+ * that is not an int or None.
  *
  * Letters are copied into C arrays of long. A value that does not fit, or
  * LONG_MIN, is rejected, so negating a letter never overflows, and every
- * table index is checked before it is used. Unlike pyops, the table-free
- * kernels raise OverflowError on such letters; words.MAX_RANK keeps them
- * out of every word the package parses.
+ * table index is checked before it is used. Unlike pyops, the kernels
+ * reject such letters, in words and in images: OverflowError in the
+ * table-free kernels, ValueError in the table kernels. words.MAX_RANK keeps
+ * them out of every word the package parses and every WhiteheadAuto.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -62,14 +64,8 @@ push(long *stack, Py_ssize_t *top, long b)
         stack[(*top)++] = b;
 }
 
-/* pyops.letter_key of a nonzero letter: its slot in an image table. */
-static inline Py_ssize_t
-slot(long a)
-{
-    return a > 0 ? 2 * ((Py_ssize_t)a - 1) : 2 * (-(Py_ssize_t)a - 1) + 1;
-}
-
-/* pyops.letter_key plus one, for ordering: x1 < x1^-1 < x2 < ..., 0 first. */
+/* pyops.letter_key plus one, for ordering: x1 < x1^-1 < x2 < ..., 0 first.
+ * Less one, it is a nonzero letter's slot in an image table. */
 static inline unsigned long
 order(long a)
 {
@@ -148,65 +144,73 @@ word(PyObject *letters, int form)
     return out;
 }
 
-/* Substitute each letter by flat[offsets[k]:offsets[k+1]], k its slot, and
- * freely reduce, into a fresh array (free with PyMem_Free). A malformed
- * table, or a letter the table does not cover, raises ValueError before
- * anything is indexed. */
+/* Substitute each letter by its image, table[k] for k its slot, and freely
+ * reduce, into a fresh array (free with PyMem_Free). Each image used is
+ * copied once. Errors come in the order pyops raises them: letter 0, then
+ * letter by letter a slot past the table or an image that is not a sequence. */
 static long *
 substitute(PyObject *const *args, Py_ssize_t *len_out)
 {
-    Py_ssize_t n, nf, no, slots, top = 0, total = 0;
-    long *src = NULL, *flat = NULL, *off = NULL, *out = NULL;
-    int malformed;
-    if ((src = unbox(args[0], &n, PyExc_ValueError)) == NULL
-        || (flat = unbox(args[1], &nf, PyExc_ValueError)) == NULL
-        || (off = unbox(args[2], &no, PyExc_ValueError)) == NULL)
+    Py_ssize_t n, slots = 0, top = 0, total = 0, *len = NULL;
+    long *src = NULL, *out = NULL, **img = NULL;
+    PyObject *table = NULL;
+    if ((src = unbox(args[0], &n, PyExc_ValueError)) == NULL)
         goto done;
-    slots = no > 0 ? no - 1 : 0;
-    malformed = no > 0 && (off[0] < 0 || off[slots] > nf);
-    for (Py_ssize_t k = 0; k < slots; k++)
-        malformed |= off[k] > off[k + 1];
-    if (malformed) {
-        PyErr_SetString(PyExc_ValueError, "malformed image table");
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        long a = src[i];
-        if (a > 0 ? a > (slots + 1) / 2 : a == 0 || a < -(slots / 2)) {
-            PyErr_Format(PyExc_ValueError,
-                         "letter %ld has no image in a table of %zd letters", a, slots);
+    for (Py_ssize_t i = 0; i < n; i++)
+        if (src[i] == 0) {
+            PyErr_SetString(PyExc_ValueError, "letter 0 has no image");
             goto done;
         }
-        Py_ssize_t k = slot(a);
-        if (off[k + 1] - off[k] > PY_SSIZE_T_MAX - total) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        total += off[k + 1] - off[k];
-    }
-    if ((out = PyMem_New(long, total ? total : 1)) == NULL) {
-        PyErr_NoMemory();
+    if (!PySequence_Check(args[1])) {
+        PyErr_SetString(PyExc_TypeError, "the image table must be a sequence");
         goto done;
     }
+    /* A tuple cannot change, or drop an image, while images are copied. */
+    if ((table = PySequence_Tuple(args[1])) == NULL)
+        goto done;
+    slots = PyTuple_GET_SIZE(table);
+    img = PyMem_Calloc(slots ? slots : 1, sizeof(long *));
+    len = PyMem_Calloc(slots ? slots : 1, sizeof(Py_ssize_t));
+    if (img == NULL || len == NULL)
+        goto done;
     for (Py_ssize_t i = 0; i < n; i++) {
-        Py_ssize_t k = slot(src[i]);
-        for (long j = off[k]; j < off[k + 1]; j++)
-            push(out, &top, flat[j]);
+        size_t k = order(src[i]) - 1;
+        if (k >= (size_t)slots) {
+            PyErr_Format(PyExc_ValueError, "letter %ld has no image in the table", src[i]);
+            goto done;
+        }
+        if (img[k] == NULL
+            && (img[k] = unbox(PyTuple_GET_ITEM(table, k), &len[k], PyExc_ValueError)) == NULL)
+            goto done;
+        if (len[k] > PY_SSIZE_T_MAX - total)
+            goto done;
+        total += len[k];
+    }
+    if ((out = PyMem_New(long, total ? total : 1)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        size_t k = order(src[i]) - 1;
+        for (Py_ssize_t j = 0; j < len[k]; j++)
+            push(out, &top, img[k][j]);
     }
     *len_out = top;
 done:
+    if (out == NULL && !PyErr_Occurred())
+        PyErr_NoMemory();  /* an allocation failed, or `total` would overflow */
+    for (Py_ssize_t k = 0; img != NULL && k < slots; k++)
+        PyMem_Free(img[k]);
+    PyMem_Free(img);
+    PyMem_Free(len);
+    Py_XDECREF(table);
     PyMem_Free(src);
-    PyMem_Free(flat);
-    PyMem_Free(off);
     return out;
 }
 
-/* max_len of apply_images_canonical: None is no bound, PY_SSIZE_T_MAX. */
+/* max_len of apply_images_canonical: None is no bound, PY_SSIZE_T_MAX, and
+ * so is any larger int. */
 static int
 bound(PyObject *arg, Py_ssize_t *max_len)
 {
-    int overflow;
-    long long v;
     *max_len = PY_SSIZE_T_MAX;
     if (arg == Py_None)
         return 0;
@@ -214,30 +218,26 @@ bound(PyObject *arg, Py_ssize_t *max_len)
         PyErr_Format(PyExc_TypeError, "max_len must be an int or None, got %R", arg);
         return -1;
     }
-    v = PyLong_AsLongLongAndOverflow(arg, &overflow);
-    if (v == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow < 0 || (!overflow && v < 0)) {
+    *max_len = PyNumber_AsSsize_t(arg, NULL);  /* clipped, never an error */
+    if (*max_len < 0) {
         PyErr_Format(PyExc_ValueError, "max_len must be >= 0, got %R", arg);
         return -1;
     }
-    if (!overflow && v < PY_SSIZE_T_MAX)
-        *max_len = (Py_ssize_t)v;
     return 0;
 }
 
-/* apply_images (form 0) and apply_images_canonical, whose fourth argument
+/* apply_images (form 0) and apply_images_canonical, whose third argument
  * is an optional max_len. */
 static PyObject *
 images(PyObject *const *args, Py_ssize_t nargs, int form)
 {
     Py_ssize_t n, max_len = PY_SSIZE_T_MAX;
-    if (form == 0 ? nargs != 3 : nargs < 3 || nargs > 4) {
-        PyErr_SetString(PyExc_TypeError, form == 0 ? "expected (letters, flat, offsets)"
-                        : "expected (letters, flat, offsets[, max_len])");
+    if (form == 0 ? nargs != 2 : nargs < 2 || nargs > 3) {
+        PyErr_SetString(PyExc_TypeError, form == 0 ? "expected (letters, images)"
+                        : "expected (letters, images[, max_len])");
         return NULL;
     }
-    if (nargs == 4 && bound(args[3], &max_len) < 0)
+    if (nargs == 3 && bound(args[2], &max_len) < 0)
         return NULL;
     long *buf = substitute(args, &n);
     if (buf == NULL)

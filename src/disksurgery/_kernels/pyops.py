@@ -7,8 +7,9 @@ unavailable; the two backends give the same results and exception types
 * :func:`free_reduce`, :func:`cyclic_reduce` and :func:`canonical_cyclic`;
 * :func:`least_rotation`, the rotation alone, for words already
   cyclically reduced;
-* :func:`apply_images`, substitution by an image table, and
-  :func:`apply_images_canonical`, the same followed by the canonical
+* :func:`apply_images`, substitution by an image table (one image per
+  letter slot, in :func:`letter_key` order, as ``WhiteheadAuto.images``),
+  and :func:`apply_images_canonical`, the same followed by the canonical
   cyclic form, or ``None`` when the cyclic reduction is longer than an
   optional ``max_len``.
 
@@ -90,25 +91,12 @@ def canonical_cyclic(letters, /):
 _BOTTOM = object()  # under every reduction stack: equal to no letter
 
 
-def _substitute(letters, flat, offsets):
+def _substitute(letters, images):
     """Substitute each letter by its image and freely reduce, onto a stack.
 
-    Returns the list ``[_BOTTOM, *reduced]``. The table is checked first,
-    as in the compiled core: ``offsets[0] >= 0``, offsets non-decreasing
-    and the last no larger than ``len(flat)``, or ``ValueError``. It is
-    then sliced into one image per letter slot, indexed by the slot's
-    ``letter_key``.
+    Returns the list ``[_BOTTOM, *reduced]``. The image of ``a`` is
+    ``images[letter_key(a)]``.
     """
-    images = []
-    if len(offsets):
-        lo = offsets[0]
-        if lo < 0 or offsets[-1] > len(flat):
-            raise ValueError("malformed image table")
-        for hi in offsets[1:]:
-            if hi < lo:
-                raise ValueError("malformed image table")
-            images.append(flat[lo:hi])
-            lo = hi
     if 0 in letters:
         raise ValueError("letter 0 has no image")
     out = [_BOTTOM]
@@ -126,20 +114,20 @@ def _substitute(letters, flat, offsets):
     return out
 
 
-def apply_images(letters, flat, offsets, /):
+def apply_images(letters, images, /):
     """Substitute each letter by its image and freely reduce.
 
-    The image of a letter ``l`` is ``flat[offsets[k]:offsets[k+1]]`` with
-    ``k = letter_key(l)``; ``flat``/``offsets`` are flat int sequences so
-    both backends share one automorphism encoding. A malformed table, or a
-    letter the table does not cover (``0``, or one whose
-    ``letter_key(l) + 1`` is past the end of ``offsets``), raises
-    ``ValueError``, as in the compiled backend.
+    ``images`` holds one image per letter slot, a sequence of letters,
+    in :func:`letter_key` order: the image of ``l`` is
+    ``images[letter_key(l)]``, as in ``WhiteheadAuto.images``. A letter
+    the table does not cover (``0``, or one whose ``letter_key`` is past
+    the end of ``images``) raises ``ValueError``, and a table or image
+    that is not a sequence ``TypeError``, as in the compiled backend.
     """
-    return tuple(_substitute(letters, flat, offsets)[1:])
+    return tuple(_substitute(letters, images)[1:])
 
 
-def apply_images_canonical(letters, flat, offsets, max_len=None, /):
+def apply_images_canonical(letters, images, max_len=None, /):
     """Image of a conjugacy class: substitute, then canonical cyclic form.
 
     Returns ``None`` instead when the cyclic reduction is longer than
@@ -151,7 +139,7 @@ def apply_images_canonical(letters, flat, offsets, max_len=None, /):
             raise TypeError(f"max_len must be an int or None, got {max_len!r}")
         if max_len < 0:
             raise ValueError(f"max_len must be >= 0, got {max_len}")
-    out = _substitute(letters, flat, offsets)
+    out = _substitute(letters, images)
     lo, hi = 1, len(out)
     while hi - lo >= 2 and out[lo] == -out[hi - 1]:
         lo += 1

@@ -42,7 +42,6 @@ Two independent routes are provided and cross-checked by the test suite:
 from __future__ import annotations
 
 import os
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -83,6 +82,12 @@ def _letters_in_order(rank: int) -> list[int]:
     return out
 
 
+def _check_ints(name, values):
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise ValueError(f"{name} entries must be ints, got {x!r}")
+
+
 class WhiteheadAuto:
     """A Whitehead generator of Aut(F_rank).
 
@@ -94,10 +99,12 @@ class WhiteheadAuto:
     than ``a``, ``a^-1``) maps to ``x a`` if only ``x`` is a member, to
     ``a^-1 x`` if only ``x^-1`` is, to ``a^-1 x a`` if both are, and is
     fixed if neither is; ``a`` is fixed.
+
+    ``images`` is the image table both kernel backends read: one tuple of
+    letters per letter slot, the image of ``x`` at ``letter_key(x)``.
     """
 
-    __slots__ = ("kind", "rank", "multiplier", "members", "perm", "signs",
-                 "images", "_flat", "_offsets")
+    __slots__ = ("kind", "rank", "multiplier", "members", "perm", "signs", "images")
 
     def __init__(self, kind, rank, multiplier=None, members=None, perm=None, signs=None):
         check_rank(rank)
@@ -107,9 +114,12 @@ class WhiteheadAuto:
         self.members = members
         self.perm = perm
         self.signs = signs
+        # The kernels read `images`: a float or a bool would pass the checks below.
         if kind == "second":
             if not isinstance(members, frozenset):
                 raise ValueError("second kind needs a frozenset of letters")
+            _check_ints("multiplier", (multiplier,))
+            _check_ints("members", members)
             if multiplier not in members or -multiplier in members:
                 raise ValueError("need multiplier in members and its inverse outside")
             for a in members:
@@ -117,6 +127,8 @@ class WhiteheadAuto:
                     raise ValueError(f"letter {a} out of range for rank {rank}")
             self.images = self._second_images()
         elif kind == "first":
+            _check_ints("perm", perm)
+            _check_ints("signs", signs)
             if sorted(perm) != list(range(1, rank + 1)):
                 raise ValueError("perm must be a bijection of 1..rank")
             if len(signs) != rank or any(s not in (1, -1) for s in signs):
@@ -124,13 +136,6 @@ class WhiteheadAuto:
             self.images = self._first_images()
         else:
             raise ValueError(f"unknown kind {kind!r}")
-        flat: list[int] = []
-        offsets = [0]
-        for img in self.images:
-            flat.extend(img)
-            offsets.append(len(flat))
-        self._flat = array("l", flat)
-        self._offsets = array("l", offsets)
 
     def _second_images(self):
         a, members = self.multiplier, self.members
@@ -248,13 +253,13 @@ def _check_support(letters, rank: int):
 def apply_auto(auto: WhiteheadAuto, word: Word) -> Word:
     """Apply the automorphism letterwise and freely reduce."""
     _check_support(word.letters, auto.rank)
-    return Word(apply_images(word.letters, auto._flat, auto._offsets))
+    return Word(apply_images(word.letters, auto.images))
 
 
 def apply_auto_cyclic(auto: WhiteheadAuto, cyclic: CyclicWord) -> CyclicWord:
     """Induced action on conjugacy classes (canonical cyclic output)."""
     _check_support(cyclic.letters, auto.rank)
-    return CyclicWord(apply_images_canonical(cyclic.letters, auto._flat, auto._offsets))
+    return CyclicWord(apply_images_canonical(cyclic.letters, auto.images))
 
 
 @dataclass(frozen=True, slots=True)
@@ -443,7 +448,7 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
         if step is None:
             break
         auto, predicted = step
-        image = cyclic_reduce(apply_images(current.letters, auto._flat, auto._offsets))
+        image = cyclic_reduce(apply_images(current.letters, auto.images))
         if len(image) != predicted:
             raise RuntimeError(f"{auto.describe()} gave length {len(image)}, "
                                f"predicted {predicted}")
@@ -541,7 +546,7 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     cap = _resolve_cap(node_cap)
     top = 2 * rank - 1
-    tables = [(auto._flat, auto._offsets) for auto in enumerate_whitehead_autos(rank)
+    tables = [auto.images for auto in enumerate_whitehead_autos(rank)
               if auto.kind == "first" or (auto.multiplier > 0 and 1 < len(auto.members) < top)]
     start = (1,)
     seen = {start}
@@ -549,8 +554,8 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
     while frontier:
         next_frontier = []
         for letters in frontier:
-            for flat, offsets in tables:
-                image = apply_images_canonical(letters, flat, offsets, max_len)
+            for images in tables:
+                image = apply_images_canonical(letters, images, max_len)
                 if image is not None and image not in seen:
                     seen.add(image)
                     if len(seen) > cap:

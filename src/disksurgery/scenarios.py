@@ -30,7 +30,7 @@ import json
 from importlib import resources
 
 from .surgery import DiskPairSystem
-from .words import Word, WordSyntaxError, check_rank, format_word, parse_word
+from .words import MAX_RANK, Word, WordSyntaxError, check_rank, format_word, parse_word
 
 __all__ = [
     "ScenarioFormatError",
@@ -166,8 +166,8 @@ def builtin_scenario(name: str, genus: int) -> DiskPairSystem:
     """
     if name not in BUILTIN_SCENARIOS:
         raise ValueError(f"unknown built-in scenario {name!r}; known: {BUILTIN_SCENARIOS}")
-    if not isinstance(genus, int) or genus < 3:
-        raise ValueError(f"genus must be an integer >= 3, got {genus!r}")
+    if not isinstance(genus, int) or not 3 <= genus <= MAX_RANK:
+        raise ValueError(f"genus must be an integer >= 3 and <= {MAX_RANK}, got {genus!r}")
     base = _load_builtin_data(name)
     meta = dict(base.meta)
     meta["genus"] = genus

@@ -180,9 +180,6 @@ class CyclicWord:
     def __repr__(self) -> str:
         return f"CyclicWord({format_word(self)!r})"
 
-    def to_word(self) -> Word:
-        return Word(self.letters)
-
     def inverse(self) -> "CyclicWord":
         """Canonical form of the inverse class.
 

@@ -144,7 +144,7 @@ def reference_minimize(word, rank):
         n = len(current)
         for auto in autos:
             image = primitivity.cyclic_reduce(
-                primitivity.apply_images(current.letters, auto._flat, auto._offsets))
+                primitivity.apply_images(current.letters, auto.images))
             if len(image) < n:
                 certificate.append(auto)
                 current = CyclicWord(image)
@@ -170,8 +170,8 @@ def reference_oracle(rank, max_len):
         next_frontier = []
         for cyclic in frontier:
             for auto in autos:
-                image = CyclicWord(primitivity.apply_images_canonical(
-                    cyclic.letters, auto._flat, auto._offsets))
+                image = CyclicWord(
+                    primitivity.apply_images_canonical(cyclic.letters, auto.images))
                 if len(image) <= max_len and image not in seen:
                     seen.add(image)
                     next_frontier.append(image)

@@ -241,11 +241,13 @@ class TestClosure:
         assert out == ""
         assert f"rank: rank must be an integer from 2 to {MAX_RANK}" in err
 
-    def test_genus_above_bound_exit_four(self, capsys):
-        code, out, err = run(capsys, "closure", "fig1", "--genus", str(MAX_RANK + 1))
-        assert code == 4
+    @pytest.mark.parametrize("command", ["closure", "surgeries"])
+    @pytest.mark.parametrize("genus", [MAX_RANK + 1, 3000000000])
+    def test_genus_above_bound_usage_error(self, capsys, command, genus):
+        code, out, err = run(capsys, command, "fig1", "--genus", str(genus))
+        assert code == 2
         assert out == ""
-        assert "bad-rank" in err
+        assert f"genus must be an integer >= 3 and <= {MAX_RANK}" in err
 
     def test_deviation_flagged_loudly(self, capsys, tmp_path):
         # A mistranscribed pair whose meta still claims the fig1 classes.
@@ -280,6 +282,24 @@ class TestScenarioSubcommand:
         code, _, err = run(capsys, "scenario", "--builtin", "fig1", "--genus", "2")
         assert code == 2
         assert "genus" in err
+
+    def test_genus_above_bound_rejected(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code, out, err = run(capsys, "scenario", "--builtin", "fig1",
+                             "--genus", "3000000000", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert "genus" in err
+        assert not path.exists()
+
+    def test_genus_at_bound_validates(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code, _, _ = run(capsys, "scenario", "--builtin", "fig1",
+                         "--genus", str(MAX_RANK), "--out", str(path))
+        assert code == 0
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 0
+        assert out == f"valid: 2 intersection arcs, rank {MAX_RANK}\n"
 
 
 class TestReportRendering:

@@ -159,7 +159,7 @@ def test_length_formula(rank, rng):
             cap = sum(adj[u][v] for u in members for v in range(len(vertices)) if v not in members)
             a = vertices.index(auto.multiplier) if auto.multiplier in vertices else None
             degree = sum(adj[a]) if a is not None else 0
-            image = pyops.cyclic_reduce(pyops.apply_images(letters, auto._flat, auto._offsets))
+            image = pyops.cyclic_reduce(pyops.apply_images(letters, auto.images))
             assert len(image) == len(letters) + cap - degree, (letters, auto)
         checked += 1
 

@@ -79,26 +79,21 @@ class TestBackendsAgree:
     @given(letters, st.integers(min_value=0, max_value=200))
     def test_apply_images(self, compiled, seq, pick):
         autos = enumerate_whitehead_autos(4)
-        auto = autos[pick % len(autos)]
-        flat, offsets = auto._flat, auto._offsets
-        assert compiled.apply_images(seq, flat, offsets) == pure.apply_images(seq, flat, offsets)
-        assert compiled.apply_images_canonical(seq, flat, offsets) == \
-            pure.apply_images_canonical(seq, flat, offsets)
+        images = autos[pick % len(autos)].images
+        assert compiled.apply_images(seq, images) == pure.apply_images(seq, images)
+        assert compiled.apply_images_canonical(seq, images) == \
+            pure.apply_images_canonical(seq, images)
 
 
 @st.composite
 def tables_and_words(draw):
     slots = draw(st.integers(min_value=0, max_value=8))
-    images = [draw(st.lists(st.integers(min_value=-4, max_value=4), max_size=4))
-              for _ in range(slots)]
-    flat = [b for image in images for b in image]
-    offsets = [0]
-    for image in images:
-        offsets.append(offsets[-1] + len(image))
+    images = tuple(tuple(draw(st.lists(st.integers(min_value=-4, max_value=4), max_size=4)))
+                   for _ in range(slots))
     # Letters the table covers: those whose letter_key is below `slots`.
     covered = [a for a in (1, -1, 2, -2, 3, -3, 4, -4) if pure.letter_key(a) < slots]
     word = draw(st.lists(st.sampled_from(covered), max_size=30)) if covered else []
-    return word, flat, offsets
+    return word, images
 
 
 class TestMaxLen:
@@ -106,22 +101,22 @@ class TestMaxLen:
 
     @given(tables_and_words())
     def test_backends_agree(self, compiled, case):
-        word, flat, offsets = case
-        full = pure.apply_images_canonical(word, flat, offsets)
-        assert compiled.apply_images_canonical(word, flat, offsets) == full
+        word, images = case
+        full = pure.apply_images_canonical(word, images)
+        assert compiled.apply_images_canonical(word, images) == full
         n = len(full)
         for max_len in (n - 1, n, 0, None):
             if max_len is not None and max_len < 0:
                 continue
             want = None if max_len is not None and n > max_len else full
             for kernel in (pure, compiled):
-                assert kernel.apply_images_canonical(word, flat, offsets, max_len) == want
+                assert kernel.apply_images_canonical(word, images, max_len) == want
 
     @given(letters, st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=40))
     def test_whitehead_tables(self, compiled, seq, pick, max_len):
         autos = enumerate_whitehead_autos(4)
         auto = autos[pick % len(autos)]
-        args = (seq, auto._flat, auto._offsets, max_len)
+        args = (seq, auto.images, max_len)
         assert compiled.apply_images_canonical(*args) == pure.apply_images_canonical(*args)
 
     @pytest.mark.parametrize("max_len,error", [
@@ -131,20 +126,20 @@ class TestMaxLen:
         auto = enumerate_whitehead_autos(2)[5]
         for kernel in (pure, compiled):
             with pytest.raises(error):
-                kernel.apply_images_canonical((1, 2), auto._flat, auto._offsets, max_len)
+                kernel.apply_images_canonical((1, 2), auto.images, max_len)
 
     def test_huge_bound_is_no_bound(self, compiled):
         auto = enumerate_whitehead_autos(2)[5]
         for kernel in (pure, compiled):
-            assert kernel.apply_images_canonical((1, 2), auto._flat, auto._offsets, 2**70) == \
-                kernel.apply_images_canonical((1, 2), auto._flat, auto._offsets)
+            assert kernel.apply_images_canonical((1, 2), auto.images, 2**70) == \
+                kernel.apply_images_canonical((1, 2), auto.images)
 
     @pytest.mark.parametrize("kernel_name", ["apply_images", "apply_images_canonical"])
     def test_table_arguments_are_positional_only(self, compiled, kernel_name):
         auto = enumerate_whitehead_autos(2)[5]
         for kernel in (pure, compiled):
             with pytest.raises(TypeError):
-                getattr(kernel, kernel_name)((1, 2), auto._flat, offsets=auto._offsets)
+                getattr(kernel, kernel_name)((1, 2), images=auto.images)
 
 
 def test_backends_export_the_same_kernels(compiled):
@@ -213,29 +208,28 @@ class TestSelection:
 
 def test_array_payloads_accepted(compiled):
     # Rank-2 table: x1 -> x1 x2, x1^-1 -> x2^-1 x1^-1, x2 and x2^-1 fixed.
-    flat = array("l", [1, 2, -2, -1, 2, -2])
-    offsets = array("l", [0, 2, 4, 5, 6])
-    assert compiled.apply_images((1, 2), flat, offsets) == (1, 2, 2)
-    assert pure.apply_images((1, 2), flat, offsets) == (1, 2, 2)
-    assert compiled.apply_images((1, -2), flat, offsets) == (1,)
-    assert pure.apply_images((1, -2), flat, offsets) == (1,)
+    # Any sequence of sequences serves, here a list of arrays.
+    images = [array("l", image) for image in ((1, 2), (-2, -1), (2,), (-2,))]
+    for kernel in (pure, compiled):
+        assert kernel.apply_images((1, 2), images) == (1, 2, 2)
+        assert kernel.apply_images((1, -2), images) == (1,)
+        assert kernel.apply_images_canonical((2, 1), images) == (1, 2, 2)
 
 
 # Feeds letters the rank-2 table above does not cover to both table
 # kernels of one backend: the pure one, or the core at the path given.
 UNCOVERED_PROBE = """
 import importlib.util, sys
-from array import array
 from disksurgery._kernels import pyops as kernels
 if sys.argv[1:]:
     spec = importlib.util.spec_from_file_location("_core", sys.argv[1])
     kernels = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(kernels)
-flat, offsets = array("l", [1, 2, -2, -1, 2, -2]), array("l", [0, 2, 4, 5, 6])
+images = ((1, 2), (-2, -1), (2,), (-2,))
 for letter in (3, -3, 0, 2**40, 2**70):
-    for call in (lambda: kernels.apply_images((1, letter), flat, offsets),
-                 lambda: kernels.apply_images_canonical((1, letter), flat, offsets),
-                 lambda: kernels.apply_images_canonical((1, letter), flat, offsets, 1)):
+    for call in (lambda: kernels.apply_images((1, letter), images),
+                 lambda: kernels.apply_images_canonical((1, letter), images),
+                 lambda: kernels.apply_images_canonical((1, letter), images, 1)):
         try:
             call()
             print("returned")
@@ -261,8 +255,10 @@ def test_uncovered_letters_raise_value_error(backend, request):
     assert run_probe(UNCOVERED_PROBE, backend, request) == ["ValueError"] * 15
 
 
-# Feeds tables whose offsets go backwards, start below 0 or end past
-# `flat` to the table kernels of one backend, with and without a bound.
+# Feeds malformed input to the table kernels of one backend, with and
+# without a bound: a table that is not a sequence, an image that is not a
+# sequence, a letter past the table and letter 0. Each case prints its
+# exception type once per call.
 MALFORMED_PROBE = """
 import importlib.util, sys
 from disksurgery._kernels import pyops as kernels
@@ -270,12 +266,15 @@ if sys.argv[1:]:
     spec = importlib.util.spec_from_file_location("_core", sys.argv[1])
     kernels = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(kernels)
-flat = [1, 2, -2, -1, 2, -2]
-for offsets in ([0, 4, 2, 5, 6], [-1, 2, 4, 5, 6], [0, 2, 4, 5, 9], [0, 2, 4, 5, 7]):
-    for call in (lambda: kernels.apply_images((1, 2, -1), flat, offsets),
-                 lambda: kernels.apply_images_canonical((1, 2, -1), flat, offsets),
-                 lambda: kernels.apply_images_canonical((1, 2, -1), flat, offsets, 0),
-                 lambda: kernels.apply_images_canonical((1, 2, -1), flat, offsets, 9)):
+table = ((1, 2), (-2, -1), (2,), (-2,))
+cases = [((1, 2), None), ((1, 2), 7),
+         ((1, 2), ((1, 2), (-2, -1), 2, (-2,))), ((1, -1), ((1, 2), None)),
+         ((1, 3), table), ((1, -3), table), ((1, 2), table[:2]), ((1, 0), table), ((0,), ())]
+for letters, images in cases:
+    for call in (lambda: kernels.apply_images(letters, images),
+                 lambda: kernels.apply_images_canonical(letters, images),
+                 lambda: kernels.apply_images_canonical(letters, images, 0),
+                 lambda: kernels.apply_images_canonical(letters, images, 9)):
         try:
             call()
             print("returned")
@@ -285,5 +284,6 @@ for offsets in ([0, 4, 2, 5, 6], [-1, 2, 4, 5, 6], [0, 2, 4, 5, 9], [0, 2, 4, 5,
 
 
 @pytest.mark.parametrize("backend", ["pure", "compiled"])
-def test_malformed_tables_raise_value_error(backend, request):
-    assert run_probe(MALFORMED_PROBE, backend, request) == ["ValueError"] * 16
+def test_malformed_tables_same_error(backend, request):
+    assert run_probe(MALFORMED_PROBE, backend, request) == \
+        ["TypeError"] * 4 * 4 + ["ValueError"] * 4 * 5

@@ -93,7 +93,7 @@ def test_kernel_is_given_the_bound(rank, max_len, monkeypatch):
     kernel = primitivity.apply_images_canonical
 
     def spy(*args):
-        bounds.add(args[3:])
+        bounds.add(args[2:])
         image = kernel(*args)
         dropped.append(image is None)
         return image

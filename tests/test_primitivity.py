@@ -72,6 +72,23 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             WhiteheadAuto.second(2, 1, {2})
 
+    # `images` is the kernels' table, so the constructor is what keeps a
+    # float or a bool out of it.
+    @pytest.mark.parametrize("build,field", [
+        (lambda: WhiteheadAuto.second(2, 1.0, {1.0}), "multiplier"),
+        (lambda: WhiteheadAuto.second(2, 1.0, {1}), "multiplier"),
+        (lambda: WhiteheadAuto.second(2, True, {1}), "multiplier"),
+        (lambda: WhiteheadAuto.second(2, 1, {1, 2.0}), "members"),
+        (lambda: WhiteheadAuto.second(2, 2, {2, True}), "members"),
+        (lambda: WhiteheadAuto.first(2, (1.0, 2), (1, 1)), "perm"),
+        (lambda: WhiteheadAuto.first(2, (True, 2), (1, 1)), "perm"),
+        (lambda: WhiteheadAuto.first(2, (1, 2), (1.0, 1)), "signs"),
+        (lambda: WhiteheadAuto.first(2, (1, 2), (1, True)), "signs"),
+    ])
+    def test_letters_that_are_not_ints_rejected(self, build, field):
+        with pytest.raises(ValueError, match=f"{field} entries must be ints"):
+            build()
+
 
 class TestApplyAuto:
     def test_singleton_set_acts_trivially(self):
