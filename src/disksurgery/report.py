@@ -36,18 +36,16 @@ def run_report(system: DiskPairSystem, label: str = "scenario") -> dict:
     mistranscribed built-in pair fails loudly instead of passing as a
     different theorem.
 
-    A verdict with an empty certificate holds the outcome's canonical
-    cyclic form as ``minimal``, so the class is taken from it; only
-    outcomes that went through descent steps are canonicalized again.
+    Each outcome's class is taken from the canonical cyclic form that
+    ``closure_report`` computed for its verdict.
     """
     closure = closure_report(system)
     expected = _expected_classes(system)
     outcomes = []
     deviations = []
     for direction in closure.directions:
-        for outcome, verdict in direction.entries:
+        for (outcome, verdict), cyclic in zip(direction.entries, direction.cyclic_words):
             p, q = outcome.choice.chord
-            cyclic = outcome.boundary_word.cyclic() if verdict.certificate else verdict.minimal
             cyclic_class = unoriented_cyclic_class(cyclic)
             outcomes.append({
                 "direction": direction.label,

@@ -23,11 +23,13 @@ computed from an embedding.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Iterable, Mapping
 
 from .primitivity import PrimitivityVerdict, is_primitive
-from .words import Word, check_rank, concat
+from .words import CyclicWord, Word, check_rank, concat
 
 __all__ = [
     "DiskPairSystem",
@@ -182,7 +184,7 @@ def validate_system(system: DiskPairSystem) -> list[Violation]:
     points = system.points
     point_set = set(points)
     if len(point_set) != len(points):
-        dupes = sorted({p for p in points if points.count(p) > 1})
+        dupes = sorted(p for p, count in Counter(points).items() if count > 1)
         out.append(Violation("duplicate-point", f"points listed twice: {dupes}"))
 
     touched: dict[str, int] = {}
@@ -208,7 +210,7 @@ def validate_system(system: DiskPairSystem) -> list[Violation]:
         if not ok:
             missing = sorted(point_set - set(order))
             extra = sorted(set(order) - point_set)
-            dupes = sorted({p for p in order if order.count(p) > 1})
+            dupes = sorted(p for p, count in Counter(order).items() if count > 1)
             out.append(Violation(
                 f"order-{disk.lower()}-mismatch",
                 f"order_{disk.lower()} must list each point exactly once"
@@ -341,32 +343,63 @@ def outermost_choices(system: DiskPairSystem, along: str) -> tuple[SurgeryChoice
     return _outermost_choices(system, along)
 
 
-def _surger(system: DiskPairSystem, choice: SurgeryChoice) -> tuple[SurgeryOutcome, SurgeryOutcome]:
-    along, target = choice.along, choice.target
-    cap_word = system.labels_of(along)[system.order_of(along).index(choice.start)]
+@dataclass(frozen=True, slots=True)
+class _Boundary:
+    """One disk's boundary of a valid intersecting system, ready to slice.
+
+    ``letters`` is the boundary word read twice round from the basepoint,
+    so every path along the circle is one slice of it; segment ``i``
+    starts at ``letters[offsets[i]]`` for ``i`` up to twice the point
+    count. ``position`` maps each point to its index in the disk's order.
+    """
+
+    labels: tuple[Word, ...]
+    letters: tuple[int, ...]
+    offsets: tuple[int, ...]
+    position: dict[str, int]
+
+
+def _prepare(system: DiskPairSystem) -> dict[str, _Boundary]:
+    """Both disks' boundaries; the caller has validated ``system``."""
+    prepared = {}
+    for disk in DISKS:
+        labels = system.labels_of(disk)
+        once = tuple(chain.from_iterable(label.letters for label in labels))
+        prepared[disk] = _Boundary(
+            labels=labels,
+            letters=once + once,
+            offsets=tuple(accumulate((len(label) for label in labels + labels), initial=0)),
+            position={p: i for i, p in enumerate(system.order_of(disk))},
+        )
+    return prepared
+
+
+def _surger(prepared: dict[str, _Boundary],
+            choice: SurgeryChoice) -> tuple[SurgeryOutcome, SurgeryOutcome]:
+    along, target = prepared[choice.along], prepared[choice.target]
+    cap_word = along.labels[along.position[choice.start]]
 
     # The chord cuts the target circle into the path of ``span`` segments
     # from start to end and the complementary path. The matching is
     # non-crossing, so the points strictly inside a path are matched
     # among themselves: each piece inherits half of them as arcs.
-    order_t = system.order_of(target)
-    labels_t = system.labels_of(target)
-    n = len(order_t)
-    i = order_t.index(choice.start)
-    span = (order_t.index(choice.end) - i) % n
-    rotated = labels_t[i:] + labels_t[:i]
+    n = len(target.position)
+    i = target.position[choice.start]
+    span = (target.position[choice.end] - i) % n
+    begin, cut, finish = target.offsets[i], target.offsets[i + span], target.offsets[i + n]
 
     # Closing piece C1 walks the cap segment end->start, against its own
     # orientation (it reads start->end on the other circle), so its word
     # is inverted; piece C2 walks it forward.
     first = SurgeryOutcome(
         choice=choice, piece="C1",
-        boundary_word=concat(*rotated[:span], cap_word.inverse()),
+        boundary_word=Word._from_valid(
+            target.letters[begin:cut] + cap_word.inverse().letters),
         inherited_chords=(span - 1) // 2,
     )
     second = SurgeryOutcome(
         choice=choice, piece="C2",
-        boundary_word=concat(*rotated[span:], cap_word),
+        boundary_word=Word._from_valid(target.letters[cut:finish] + cap_word.letters),
         inherited_chords=(n - span - 1) // 2,
     )
     return first, second
@@ -377,15 +410,16 @@ def surger(system: DiskPairSystem, choice: SurgeryChoice) -> tuple[SurgeryOutcom
     _require_intersecting(system)
     if choice not in _outermost_choices(system, choice.along):
         raise SurgeryChoiceError(f"not an outermost choice of this system: {choice}")
-    return _surger(system, choice)
+    return _surger(_prepare(system), choice)
 
 
 def _outcomes(system: DiskPairSystem):
     """Validate once, then yield every outcome in ``all_surgeries`` order."""
     _require_intersecting(system)
+    prepared = _prepare(system)
     for along in ("E", "D"):
         for choice in _outermost_choices(system, along):
-            yield from _surger(system, choice)
+            yield from _surger(prepared, choice)
 
 
 def all_surgeries(system: DiskPairSystem) -> tuple[SurgeryOutcome, ...]:
@@ -403,11 +437,14 @@ class DirectionReport:
 
     ``any_primitive`` is the weak form (some surgery yields a primitive
     disk), ``all_primitive`` the strong form (every surgery does).
+    ``cyclic_words`` holds the canonical cyclic form of each entry's
+    boundary word, in entry order.
     """
 
     surgered: str
     along: str
     entries: tuple[tuple[SurgeryOutcome, PrimitivityVerdict], ...]
+    cyclic_words: tuple[CyclicWord, ...]
     any_primitive: bool
     all_primitive: bool
 
@@ -431,12 +468,14 @@ def closure_report(system: DiskPairSystem) -> ClosureReport:
 
     Weak closedness fails for the pair in a direction exactly when that
     direction's ``any_primitive`` is False. Each outcome word is put in
-    canonical cyclic form once, and the verdict gets that form.
+    canonical cyclic form once; the verdict and the report get that form.
     """
     entries = {surgered: [] for surgered in DISKS}
+    cyclic_words = {surgered: [] for surgered in DISKS}
     for outcome in _outcomes(system):
-        verdict = is_primitive(outcome.boundary_word.cyclic(), system.rank)
-        entries[outcome.choice.target].append((outcome, verdict))
+        cyclic = outcome.boundary_word.cyclic()
+        entries[outcome.choice.target].append((outcome, is_primitive(cyclic, system.rank)))
+        cyclic_words[outcome.choice.target].append(cyclic)
     reports = {}
     for surgered, pairs in entries.items():
         flags = [verdict.primitive for _, verdict in pairs]
@@ -444,6 +483,7 @@ def closure_report(system: DiskPairSystem) -> ClosureReport:
             surgered=surgered,
             along=other_disk(surgered),
             entries=tuple(pairs),
+            cyclic_words=tuple(cyclic_words[surgered]),
             any_primitive=any(flags),
             all_primitive=all(flags),
         )

@@ -230,12 +230,35 @@ def parse_word(text: str, rank: int) -> Word:
     return Word(tuple(letters))
 
 
+class _Tokens(dict):
+    """Letter -> ``format_letter`` text, kept for the first letters seen.
+
+    Reports format every letter of every outcome, from a few generators.
+    Letters are kept until the table holds ``_TOKENS_BOUND`` of them;
+    later ones are formatted on each use. A bool letter shares the key of
+    the int it equals, so it is formatted as that int.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, letter):
+        if isinstance(letter, bool):
+            letter = int(letter)
+        text = format_letter(letter)
+        if type(letter) is int and len(self) < _TOKENS_BOUND:
+            self[letter] = text
+        return text
+
+
+_TOKENS_BOUND = 1024
+_TOKENS = _Tokens()
+
+
 def format_word(word: Word | CyclicWord | Iterable[int]) -> str:
     letters = tuple(word.letters if hasattr(word, "letters") else word)
     if not letters:
         return "1"
-    # format_letter, inlined: reports format every letter of every outcome.
-    return " ".join([f"x{a}" if a > 0 else f"x{-a}^-1" for a in letters])
+    return " ".join(map(_TOKENS.__getitem__, letters))
 
 
 def concat(*words: Word) -> Word:

@@ -1,13 +1,16 @@
-"""Shared test data, the randomized disk-pair generator and the
-reference Whitehead descent and orbit oracle."""
+"""Shared test data, the randomized disk-pair generator, and the
+reference surgery, Whitehead descent and orbit oracle."""
 
 import os
 import random
 from pathlib import Path
 
 import disksurgery
-from disksurgery import CyclicWord, DiskPairSystem, Word, parse_word, primitivity
+from disksurgery import (
+    CyclicWord, DiskPairSystem, Word, concat, outermost_choices, parse_word, primitivity,
+)
 from disksurgery.primitivity import PrimitivityVerdict
+from disksurgery.surgery import SurgeryOutcome
 
 # The directory holding the `disksurgery` package under test (`src/` in a
 # checkout), so child interpreters import this copy and no other.
@@ -127,6 +130,38 @@ def child_env(kernel):
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SOURCE_ROOT), inherited]))
     return env
+
+
+def reference_surger(system, choice):
+    """Both outcomes of one outermost choice, built by joining the target's
+    labels rotated to start at the choice's start point, then the cap label.
+
+    ``surgery.surger`` and ``surgery.all_surgeries`` must give the same
+    outcomes.
+    """
+    along, target = choice.along, choice.target
+    cap_word = system.labels_of(along)[system.order_of(along).index(choice.start)]
+    order_t = system.order_of(target)
+    labels_t = system.labels_of(target)
+    n = len(order_t)
+    i = order_t.index(choice.start)
+    span = (order_t.index(choice.end) - i) % n
+    rotated = labels_t[i:] + labels_t[:i]
+    return (
+        SurgeryOutcome(choice=choice, piece="C1",
+                       boundary_word=concat(*rotated[:span], cap_word.inverse()),
+                       inherited_chords=(span - 1) // 2),
+        SurgeryOutcome(choice=choice, piece="C2",
+                       boundary_word=concat(*rotated[span:], cap_word),
+                       inherited_chords=(n - span - 1) // 2),
+    )
+
+
+def reference_surgeries(system):
+    """Every outcome in ``all_surgeries`` order, by ``reference_surger``."""
+    return tuple(outcome for along in ("E", "D")
+                 for choice in outermost_choices(system, along)
+                 for outcome in reference_surger(system, choice))
 
 
 def reference_minimize(word, rank):

@@ -30,6 +30,8 @@ from helpers import (
     disjoint_system,
     random_noncrossing_matching,
     random_system,
+    reference_surgeries,
+    reference_surger,
     single_chord_system,
 )
 
@@ -113,6 +115,35 @@ def matchings(draw):
         order = [f"p{i}" for i in draw(st.permutations(range(2 * k)))]
         chords = [(f"p{2 * i}", f"p{2 * i + 1}") for i in range(k)]
     return tuple(order), tuple(tuple(sorted(c)) for c in chords)
+
+
+class TestValidateManyPoints:
+    """Duplicate lists are counted once, so a long point list with a
+    repeat is checked in linear time."""
+
+    N = 100_000
+
+    def system(self, points, order_d):
+        names = [f"p{i}" for i in range(self.N)]
+        return DiskPairSystem(
+            rank=2, points=points, order_d=order_d, order_e=tuple(names),
+            chords=tuple(zip(names[::2], names[1::2])),
+            labels_d=(Word(),) * len(order_d), labels_e=(Word(),) * self.N,
+        )
+
+    def test_repeated_point(self):
+        names = tuple(f"p{i}" for i in range(self.N))
+        violations = validate_system(self.system(names + ("p7",), names))
+        assert [str(v) for v in violations] == ["duplicate-point: points listed twice: ['p7']"]
+
+    def test_repeated_point_in_order(self):
+        names = tuple(f"p{i}" for i in range(self.N))
+        order = ("p5",) + names[:5] + names[6:-1] + ("p5", "p3")
+        violations = validate_system(self.system(names, order))
+        assert [str(v) for v in violations] == [
+            "order-d-mismatch: order_d must list each point exactly once"
+            f" (missing ['p{self.N - 1}'], extra [], repeated ['p3', 'p5'])",
+        ]
 
 
 class TestNoncrossingScan:
@@ -257,6 +288,90 @@ class TestClosureReport:
             report = closure_report(random_system(rng, max_chords=3))
             for direction in report.directions:
                 assert direction.any_primitive or not direction.all_primitive
+
+
+@st.composite
+def disk_pairs(draw):
+    """A valid pair of 1-5 chords: independent non-crossing arrangements on
+    the two circles, each started at a drawn basepoint, a drawn chord
+    bijection between them, and labels of up to 3 letters, empty ones
+    included."""
+    k = draw(st.integers(min_value=1, max_value=5))
+    rank = draw(st.sampled_from([2, 3]))
+    orders = []
+    for _ in range(2):
+        slots = random_noncrossing_matching(draw(st.randoms(use_true_random=False)), k)
+        order = [None] * (2 * k)
+        for chord, (a, b) in zip(draw(st.permutations(range(k))), slots):
+            first, second = f"q{2 * chord}", f"q{2 * chord + 1}"
+            if draw(st.booleans()):
+                first, second = second, first
+            order[a], order[b] = first, second
+        shift = draw(st.integers(min_value=0, max_value=2 * k - 1))
+        orders.append(tuple(order[shift:] + order[:shift]))
+    alphabet = [a for a in range(-rank, rank + 1) if a != 0]
+    labels = st.lists(st.sampled_from(alphabet), max_size=3).map(lambda s: Word(tuple(s)))
+    system = DiskPairSystem(
+        rank=rank, points=orders[0], order_d=orders[0], order_e=orders[1],
+        chords=tuple((f"q{2 * i}", f"q{2 * i + 1}") for i in range(k)),
+        labels_d=tuple(draw(labels) for _ in range(2 * k)),
+        labels_e=tuple(draw(labels) for _ in range(2 * k)),
+    )
+    assert validate_system(system) == []
+    return system
+
+
+def fields(outcomes):
+    return [(o.choice, o.piece, o.boundary_word, o.inherited_chords) for o in outcomes]
+
+
+class TestAgainstReference:
+    """``surger`` and ``all_surgeries`` give exactly the outcomes of the
+    rotate-and-join construction in ``helpers.reference_surger``."""
+
+    @given(disk_pairs())
+    def test_same_outcomes(self, system):
+        for along in ("E", "D"):
+            for choice in outermost_choices(system, along):
+                assert fields(surger(system, choice)) == fields(reference_surger(system, choice))
+        assert fields(all_surgeries(system)) == fields(reference_surgeries(system))
+
+    def test_cases_drawn(self):
+        """The draws include a cap that wraps past the basepoint, an empty
+        label on either side of a cut, single-chord pairs and both
+        directions."""
+        seen = set()
+
+        @given(disk_pairs())
+        def collect(system):
+            for outcome in all_surgeries(system):
+                choice = outcome.choice
+                order = system.order_of(choice.along)
+                seen.add(("direction", choice.target))
+                if choice.start == order[-1]:
+                    seen.add("cap wraps")
+                if not system.labels_of(choice.along)[order.index(choice.start)]:
+                    seen.add("empty cap")
+            if any(not label for label in system.labels_d + system.labels_e):
+                seen.add("empty label")
+            if system.chord_count == 1:
+                seen.add("single chord")
+
+        collect()
+        assert seen == {("direction", "D"), ("direction", "E"), "cap wraps", "empty cap",
+                        "empty label", "single chord"}
+
+    @pytest.mark.parametrize("labels_d, labels_e", [
+        (["x1", "x2"], ["x1 x2", "1"]),
+        (["1", "1"], ["1", "1"]),
+        (["x1 x2^-1", "1"], ["1", "x2 x2"]),
+    ])
+    def test_single_chord(self, labels_d, labels_e):
+        system = single_chord_system(labels_d, labels_e)
+        assert fields(all_surgeries(system)) == fields(reference_surgeries(system))
+
+    def test_fig1(self, fig1):
+        assert fields(all_surgeries(fig1)) == fields(reference_surgeries(fig1))
 
 
 def nested_chords(system, disk, begin, finish):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import disksurgery.words
-from disksurgery.words import MAX_RANK
+from disksurgery.words import MAX_RANK, format_letter
 from disksurgery import (
     CyclicWord,
     Word,
@@ -52,6 +52,44 @@ class TestParseFormat:
     def test_doctests(self):
         failures, _ = doctest.testmod(disksurgery.words)
         assert failures == 0
+
+
+class TestTokenTable:
+    """``format_word`` reads letter tokens from a bounded table."""
+
+    @staticmethod
+    def joined(seq):
+        return " ".join(format_letter(a) for a in seq)
+
+    @pytest.mark.parametrize("seq", [
+        (1,), (-1,), (2,), (-2,), (MAX_RANK,), (-MAX_RANK,),
+        (1, -1, 2, -2, MAX_RANK, -MAX_RANK, 1, -MAX_RANK),
+    ])
+    def test_equals_format_letter(self, seq):
+        assert format_word(Word(seq)) == self.joined(seq)
+        assert format_word(seq) == self.joined(seq)
+
+    def test_empty_word(self):
+        assert format_word(Word()) == "1"
+        assert format_word(CyclicWord()) == "1"
+        assert format_word(()) == "1"
+
+    def test_bool_letter_formats_as_its_int(self):
+        assert format_word(Word((True, -2))) == "x1 x2^-1"
+        assert format_word(Word((1, True))) == "x1 x1"
+
+    def test_letters_after_the_table_is_full(self):
+        tokens = disksurgery.words._TOKENS
+        bound = disksurgery.words._TOKENS_BOUND
+        for start in range(1, 3 * bound, 64):
+            seq = tuple(a for i in range(start, start + 64) for a in (i, -i))
+            assert format_word(seq) == self.joined(seq)
+        assert len(tokens) == bound
+        late = (MAX_RANK - 5, -(MAX_RANK - 6), 4 * bound + 7, -(4 * bound + 7))
+        assert not set(late) & set(tokens)
+        assert format_word(Word(late)) == self.joined(late)
+        assert format_word(Word(late)) == self.joined(late)
+        assert len(tokens) == bound
 
 
 class TestLetterRange:
