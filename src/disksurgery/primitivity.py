@@ -27,16 +27,16 @@ Two independent routes are provided and cross-checked by the test suite:
   (:func:`oz_rank2_nonprimitive`): a cyclically reduced word over
   ``x1, x2`` containing some generator with both signs is never
   primitive.
-* :func:`oracle_primitives` — breadth-first closure of the orbit of
-  ``x1``, restricted to a length bound. Peak reduction guarantees the
-  closure is complete within the bound, so membership is ground truth
-  for short words. It applies the first-kind generators and the
-  second-kind ``(A, a)`` with ``a`` positive and
-  ``1 < |A| < 2*rank - 1``: ``(A, a)`` is conjugation by ``a`` composed
-  with ``(L - A, a^-1)``, where ``L`` is the set of all ``2*rank``
-  letters, so the two give the same cyclic word. Conjugation by ``a``
-  is ``(L - {a^-1}, a)`` itself, and ``({a}, a)`` is the identity, so
-  no other table entry reaches a new cyclic word.
+* :func:`oracle_primitives` — breadth-first closure of the ``2*rank``
+  length-one classes, restricted to a length bound, under the
+  second-kind ``(A, a)`` with ``a`` positive and ``1 < |A| < 2*rank - 1``
+  (4 generators at rank 2, 42 at rank 3), built from ``(a, A)`` without
+  the table. Words at the bound are kept but never expanded. Whitehead's
+  theorem makes the closure complete within the bound: every primitive
+  word longer than one letter is shortened by a second-kind generator
+  whose inverse acts on cyclic words as a kept one, so membership is
+  ground truth for short words. The full argument, and why first-kind
+  generators are not needed, is in the function's docstring.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, islice, product
 
 from ._kernels import (apply_images, apply_images_canonical, cyclic_reduce, least_rotation,
                        letter_key)
@@ -511,61 +512,100 @@ def _resolve_cap(node_cap: int | None) -> int:
     return node_cap
 
 
+def _second_kind_images(rank: int):
+    """Image tables of the second-kind ``(A, a)`` with ``a`` positive and
+    ``1 < |A| < 2*rank - 1``, built from ``(a, A)`` one at a time.
+
+    For a positive ``a``, each other generator ``x`` contributes the pair
+    (image of ``x``, image of ``x^-1``), which takes one of four values as
+    neither, only ``x``, only ``x^-1`` or both lie in ``A``. The tables are
+    the products of these choices, less the first (``A = {a}``) and the
+    last (``|A| = 2*rank - 1``). There are ``rank * (4**(rank - 1) - 2)``.
+    """
+    for a in range(1, rank + 1):
+        choices = [(((x,), (-x,)),) if x == a else
+                   (((x,), (-x,)), ((x, a), (-a, -x)), ((-a, x), (-x, a)),
+                    ((-a, x, a), (-a, -x, a)))
+                   for x in range(1, rank + 1)]
+        for pairs in islice(product(*choices), 1, 4 ** (rank - 1) - 1):
+            yield tuple(chain.from_iterable(pairs))
+
+
 def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -> frozenset[CyclicWord]:
     """All primitive cyclic words of length at most ``max_len``.
 
-    Breadth-first closure of the canonical class of ``x1`` under the
-    Whitehead automorphisms, discarding words longer than ``max_len``.
-    Completeness within the bound follows from peak reduction: any two
-    orbit members are joined by a chain whose intermediate lengths never
-    exceed the endpoints' maximum.
+    Breadth-first closure of the ``2*rank`` length-one classes
+    ``x_i^{+-1}`` under the second-kind ``(A, a)`` with ``a`` positive and
+    ``1 < |A| < 2*rank - 1``, keeping the images of length at most
+    ``max_len`` and never applying a generator to a word of length
+    ``max_len``. That is ``rank * (4**(rank - 1) - 2)`` generators: 4 at
+    rank 2 and 42 at rank 3. Their image tables come from
+    :func:`_second_kind_images`, one table alive at a time, once per
+    breadth-first level; the Whitehead table is never built.
 
-    Only the automorphisms that can reach a new cyclic word are applied:
-    the first-kind generators and the second-kind ``(A, a)`` with ``a``
-    positive and ``1 < |A| < 2*rank - 1``, which is 7 of the 19 table
-    entries at rank 2 and 47 of 101 at rank 3. Writing ``L`` for the set
-    of all letters, ``(A, a)`` is conjugation by ``a`` composed with
-    ``(L - A, a^-1)``, so the two agree on cyclic words; ``({a}, a)`` is
-    the identity and ``(L - {a^-1}, a)`` is conjugation by ``a``. The
-    closure is therefore the one under the whole table. Each image is
-    canonicalized once, by the kernel, which is given ``max_len``: an
-    image whose cyclic reduction is longer is never rotated or made a
-    tuple, and comes back as ``None``. Each kept word becomes a
-    :class:`CyclicWord` only at the end.
+    The closure is every primitive word within the bound:
+
+    * *Skipped second-kind entries.* Writing ``L`` for the set of all
+      letters, ``(A, a)`` is conjugation by ``a`` composed with
+      ``(L - A, a^-1)``, so the two agree on cyclic words. ``({a}, a)``
+      is the identity and ``(L - {a^-1}, a)`` is conjugation by ``a``.
+      So every second-kind entry that moves a cyclic word acts on cyclic
+      words as a kept generator.
+    * *First-kind generators.* Conjugating a kept ``(A, a)`` by a signed
+      permutation ``s`` gives ``(sA, sa)``, which is a kept generator or,
+      when ``sa`` is negative, acts as the kept ``(L - sA, (sa)^-1)``.
+      The closure is the least set that holds the seeds and the images
+      within the bound of its words shorter than ``max_len``. As ``s``
+      keeps lengths and the seeds, it maps that set to one with the same
+      property, so the closure is closed under ``s``.
+    * *Words at the bound.* A primitive ``w`` with ``|w| > 1`` is not of
+      minimal length in its orbit, so Whitehead's theorem gives a
+      second-kind ``(A, a)`` that shortens it, with ``1 < |A| < 2*rank - 1``
+      as the others fix cyclic words. Its inverse
+      ``(A - {a} + {a^-1}, a^-1)`` has a set of the same size and is a
+      kept generator up to the identity above. So ``w`` is the end of a
+      strictly lengthening chain from a seed, and every word before ``w``
+      in it is shorter than ``w``, hence than ``max_len``: no generator
+      needs to be applied to a word at the bound.
+
+    Each image is canonicalized once, by the kernel, which is given
+    ``max_len``: an image whose cyclic reduction is longer is never
+    rotated or made a tuple, and comes back as ``None``. Each kept word
+    becomes a :class:`CyclicWord` only at the end.
 
     Intended as an independent ground truth for :func:`is_primitive` at
     small sizes (practical up to rank 3, length 8). Raises
     :class:`OracleCapExceeded` if more than ``node_cap`` canonical words
     are retained (default ``DEFAULT_ORACLE_CAP``, overridable via the
     ``DISKSURGERY_ORACLE_CAP`` environment variable), which happens
-    exactly when the closure has more than ``node_cap`` words. A cap
-    below 1 raises ``ValueError``.
+    exactly when the closure has more than ``node_cap`` words; the seeds
+    count. ``max_len`` must be an int (``TypeError`` otherwise, bools
+    included) of at least 1, and a cap below 1 raises ``ValueError``.
     """
     check_rank(rank)
+    if not isinstance(max_len, int) or isinstance(max_len, bool):
+        raise TypeError(f"max_len must be an int, got {max_len!r}")
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     cap = _resolve_cap(node_cap)
-    top = 2 * rank - 1
-    tables = [auto.images for auto in enumerate_whitehead_autos(rank)
-              if auto.kind == "first" or (auto.multiplier > 0 and 1 < len(auto.members) < top)]
-    start = (1,)
-    seen = {start}
-    frontier = [start]
+    message = f"oracle closure exceeded {cap} canonical words (rank {rank}, max_len {max_len})"
+    # Checked before the seeds are built, so a large rank cannot exhaust memory here.
+    if 2 * rank > cap:
+        raise OracleCapExceeded(message, cap)
+    canonical = apply_images_canonical
+    seen = {(x,) for x in _letters_in_order(rank)}
+    frontier = list(seen) if max_len > 1 else []
     while frontier:
-        next_frontier = []
-        for letters in frontier:
-            for images in tables:
-                image = apply_images_canonical(letters, images, max_len)
+        level = []
+        for images in _second_kind_images(rank):
+            for letters in frontier:
+                image = canonical(letters, images, max_len)
                 if image is not None and image not in seen:
                     seen.add(image)
                     if len(seen) > cap:
-                        raise OracleCapExceeded(
-                            f"oracle closure exceeded {cap} canonical words "
-                            f"(rank {rank}, max_len {max_len})",
-                            cap,
-                        )
-                    next_frontier.append(image)
-        frontier = next_frontier
+                        raise OracleCapExceeded(message, cap)
+                    level.append(image)
+        frontier = [letters for letters in level if len(letters) < max_len]
     return frozenset(CyclicWord._from_canonical(letters) for letters in seen)
 
 

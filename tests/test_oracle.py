@@ -1,12 +1,18 @@
 """The orbit oracle against the full-table closure it replaced.
 
-``oracle_primitives`` applies only the table entries that can move a
-cyclic word; ``helpers.reference_oracle`` applies all of them. They must
-return the same set on either kernel backend, and the cap must fire at
-the same closure size.
+``oracle_primitives`` closes the length-one classes under the
+second-kind generators built from ``(a, A)`` and never expands a word
+at the length bound; ``helpers.reference_oracle`` expands every word
+from ``x1`` under the whole table. They must return the same set on
+either kernel backend, and the cap must fire at the same closure size.
 """
 
+import resource
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from disksurgery import (
     WhiteheadAuto,
@@ -16,14 +22,20 @@ from disksurgery import (
     primitivity,
 )
 from disksurgery.primitivity import OracleCapExceeded
-from helpers import random_word, reference_oracle
+from helpers import child_env, random_word, reference_oracle
 
-PINNED = ([(2, n) for n in range(1, 13)] + [(3, n) for n in range(1, 6)]
+PINNED = ([(2, n) for n in range(1, 17)] + [(3, n) for n in range(1, 7)]
           + [(4, n) for n in range(1, 4)])
 
-# Generators applied per word: the first-kind ones and the second-kind
+# Generators applied per word shorter than max_len: the second-kind
 # (A, a) with a positive and 1 < |A| < 2 * rank - 1.
-GENERATORS = {2: 7, 3: 47}
+GENERATORS = {2: 4, 3: 42}
+
+
+def kept_entries(rank):
+    top = 2 * rank - 1
+    return [auto for auto in enumerate_whitehead_autos(rank)
+            if auto.kind == "second" and auto.multiplier > 0 and 1 < len(auto.members) < top]
 
 
 @pytest.mark.parametrize("rank,max_len", PINNED)
@@ -49,7 +61,7 @@ def test_skipped_entries_act_as_kept_ones(rank, rng):
                 assert image == cyclic, (auto, cyclic)
 
 
-@pytest.mark.parametrize("rank,max_len", [(2, 6), (3, 4)])
+@pytest.mark.parametrize("rank,max_len", [(2, 6), (3, 4), (3, 1)])
 def test_cap_fires_exactly_above_closure_size(rank, max_len):
     size = len(reference_oracle(rank, max_len))
     assert len(oracle_primitives(rank, max_len, node_cap=size)) == size
@@ -57,9 +69,10 @@ def test_cap_fires_exactly_above_closure_size(rank, max_len):
         oracle_primitives(rank, max_len, node_cap=size - 1)
 
 
-@pytest.mark.parametrize("rank,max_len", [(2, 12), (3, 4)])
-def test_work_is_closure_times_generators(rank, max_len, monkeypatch):
-    # A return to applying the whole table fails here, not only in timings.
+@pytest.mark.parametrize("rank,max_len", [(2, 12), (3, 4), (3, 1)])
+def test_work_is_expanded_words_times_generators(rank, max_len, monkeypatch):
+    # A return to the whole table, or to expanding words at the bound,
+    # fails here, not only in timings.
     calls = []
     kernel = primitivity.apply_images_canonical
 
@@ -69,7 +82,69 @@ def test_work_is_closure_times_generators(rank, max_len, monkeypatch):
 
     monkeypatch.setattr(primitivity, "apply_images_canonical", counted)
     closure = oracle_primitives(rank, max_len)
-    assert len(calls) == len(closure) * GENERATORS[rank]
+    expanded = sum(len(cyclic) < max_len for cyclic in closure)
+    assert len(calls) == expanded * GENERATORS[rank]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_generator_tables_are_the_kept_entries(rank):
+    tables = list(primitivity._second_kind_images(rank))
+    assert len(tables) == rank * (4 ** (rank - 1) - 2)
+    assert sorted(tables) == sorted(auto.images for auto in kept_entries(rank))
+
+
+MAX_LEN = {2: 12, 3: 5, 4: 3}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([2, 3, 4]).flatmap(
+    lambda rank: st.tuples(st.just(rank), st.integers(1, MAX_LEN[rank]))))
+def test_closed_under_first_kind_and_inversion(case):
+    rank, max_len = case
+    closure = oracle_primitives(rank, max_len)
+    assert all(cyclic.inverse() in closure for cyclic in closure)
+    for auto in enumerate_whitehead_autos(rank):
+        if auto.kind == "first":
+            assert all(apply_auto_cyclic(auto, cyclic) in closure for cyclic in closure), auto
+
+
+@pytest.mark.parametrize("max_len", [1.0, 2.5, True, "3"])
+def test_max_len_must_be_an_int(max_len, monkeypatch):
+    # Checked before any work, so max_len 1.0 cannot pass for 1 by making
+    # no kernel call.
+    monkeypatch.setattr(primitivity, "apply_images_canonical", None)
+    with pytest.raises(TypeError, match="max_len must be an int"):
+        oracle_primitives(2, max_len)
+
+
+RANK7_PROBE = """
+from disksurgery import primitivity
+from disksurgery.cli import main
+code = main(["oracle", "--rank", "7", "--max-len", "2"])
+print("code", code)
+print("tables", primitivity.enumerate_whitehead_autos.cache_info().currsize)
+"""
+
+MEMORY_LIMIT = 512 * 2**20
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def test_rank7_closure_without_a_table():
+    # In a child under a memory limit and a timeout, so that a regression
+    # to building the rank-7 table fails here instead of exhausting memory.
+    out = subprocess.run(
+        [sys.executable, "-c", RANK7_PROBE], capture_output=True, text=True,
+        env=child_env("pure"), preexec_fn=_limit_memory, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[-2:] == ["code 0", "tables 0"]
+    words = lines[:-2]
+    assert len(words) == 98
+    assert {len(w.split()) for w in words} == {1, 2}
 
 
 @pytest.mark.parametrize("node_cap", [0, -3])
