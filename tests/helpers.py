@@ -3,6 +3,7 @@ reference surgery, Whitehead descent and orbit oracle."""
 
 import os
 import random
+import resource
 from pathlib import Path
 
 import disksurgery
@@ -116,6 +117,16 @@ def single_chord_system(labels_d, labels_e, rank=2) -> DiskPairSystem:
         labels_d=tuple(parse_word(t, rank) for t in labels_d),
         labels_e=tuple(parse_word(t, rank) for t in labels_e),
     )
+
+
+# Address-space limit for child interpreters that must not build a
+# Whitehead table at a high rank.
+MEMORY_LIMIT = 512 * 2**20
+
+
+def limit_memory():
+    """``preexec_fn`` for a child held to ``MEMORY_LIMIT``."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
 
 def child_env(kernel):

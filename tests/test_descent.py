@@ -6,7 +6,6 @@ in turn. They must agree on verdicts, minimal words and the very table
 objects in the certificate, on either kernel backend.
 """
 
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from disksurgery import (
     whitehead_minimize,
 )
 from disksurgery._kernels import pyops
-from helpers import child_env, random_word, reference_minimize
+from helpers import child_env, limit_memory, random_word, reference_minimize
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -198,19 +197,12 @@ print("codes", *codes)
 print("tables", primitivity.enumerate_whitehead_autos.cache_info().currsize)
 """
 
-MEMORY_LIMIT = 512 * 2**20
-
-
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
-
-
 def test_rank12_answers_without_a_table():
     # In a child under a memory limit and a timeout, so that a regression
     # to building the rank-12 table fails here instead of exhausting memory.
     out = subprocess.run(
         [sys.executable, "-c", RANK12_PROBE], capture_output=True, text=True,
-        env=child_env("pure"), preexec_fn=_limit_memory, timeout=60,
+        env=child_env("pure"), preexec_fn=limit_memory, timeout=60,
     )
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()

@@ -7,7 +7,6 @@ from ``x1`` under the whole table. They must return the same set on
 either kernel backend, and the cap must fire at the same closure size.
 """
 
-import resource
 import subprocess
 import sys
 
@@ -22,7 +21,7 @@ from disksurgery import (
     primitivity,
 )
 from disksurgery.primitivity import OracleCapExceeded
-from helpers import child_env, random_word, reference_oracle
+from helpers import child_env, limit_memory, random_word, reference_oracle
 
 PINNED = ([(2, n) for n in range(1, 17)] + [(3, n) for n in range(1, 7)]
           + [(4, n) for n in range(1, 4)])
@@ -30,12 +29,6 @@ PINNED = ([(2, n) for n in range(1, 17)] + [(3, n) for n in range(1, 7)]
 # Generators applied per word shorter than max_len: the second-kind
 # (A, a) with a positive and 1 < |A| < 2 * rank - 1.
 GENERATORS = {2: 4, 3: 42}
-
-
-def kept_entries(rank):
-    top = 2 * rank - 1
-    return [auto for auto in enumerate_whitehead_autos(rank)
-            if auto.kind == "second" and auto.multiplier > 0 and 1 < len(auto.members) < top]
 
 
 @pytest.mark.parametrize("rank,max_len", PINNED)
@@ -90,7 +83,9 @@ def test_work_is_expanded_words_times_generators(rank, max_len, monkeypatch):
 def test_generator_tables_are_the_kept_entries(rank):
     tables = list(primitivity._second_kind_images(rank))
     assert len(tables) == rank * (4 ** (rank - 1) - 2)
-    assert sorted(tables) == sorted(auto.images for auto in kept_entries(rank))
+    kept = [auto.images for auto in enumerate_whitehead_autos(rank) if auto.kind == "second"
+            and auto.multiplier > 0 and 1 < len(auto.members) < 2 * rank - 1]
+    assert sorted(tables) == sorted(kept)
 
 
 MAX_LEN = {2: 12, 3: 5, 4: 3}
@@ -125,19 +120,12 @@ print("code", code)
 print("tables", primitivity.enumerate_whitehead_autos.cache_info().currsize)
 """
 
-MEMORY_LIMIT = 512 * 2**20
-
-
-def _limit_memory():
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
-
-
 def test_rank7_closure_without_a_table():
     # In a child under a memory limit and a timeout, so that a regression
     # to building the rank-7 table fails here instead of exhausting memory.
     out = subprocess.run(
         [sys.executable, "-c", RANK7_PROBE], capture_output=True, text=True,
-        env=child_env("pure"), preexec_fn=_limit_memory, timeout=60,
+        env=child_env("pure"), preexec_fn=limit_memory, timeout=60,
     )
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
