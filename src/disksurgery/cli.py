@@ -132,7 +132,11 @@ def _cmd_scenario(args) -> int:
     if args.out is None:
         sys.stdout.write(dumps_scenario(system))
     else:
-        save_scenario(system, args.out)
+        try:
+            save_scenario(system, args.out)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         print(f"wrote {args.out}")
     return EXIT_OK
 

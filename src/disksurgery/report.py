@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 
+from .scenarios import _word_list
 from .surgery import DiskPairSystem, closure_report
-from .words import concat, format_word, parse_word, unoriented_cyclic_class
+from .words import concat, format_word, unoriented_cyclic_class
 
 __all__ = ["run_report", "render_text", "render_json"]
 
@@ -21,7 +22,8 @@ def _expected_classes(system: DiskPairSystem):
     texts = system.meta.get("expected_outcome_classes")
     if not isinstance(texts, list):
         return None
-    return {unoriented_cyclic_class(parse_word(t, system.rank)) for t in texts}
+    words = _word_list(texts, "meta.expected_outcome_classes", system.rank)
+    return {unoriented_cyclic_class(w) for w in words}
 
 
 def _boundary(word) -> dict:
@@ -34,13 +36,13 @@ def run_report(system: DiskPairSystem, label: str = "scenario") -> dict:
     ``deviations`` is nonempty when the scenario's meta names the
     expected outcome classes and some outcome strays from them; a
     mistranscribed built-in pair fails loudly instead of passing as a
-    different theorem.
+    different theorem. Its entries are checked before any surgery runs.
 
     Each outcome's class is taken from the canonical cyclic form that
     ``closure_report`` computed for its verdict.
     """
-    closure = closure_report(system)
     expected = _expected_classes(system)
+    closure = closure_report(system)
     outcomes = []
     deviations = []
     for direction in closure.directions:

@@ -74,7 +74,7 @@ def _word_list(data, path: str, rank: int) -> tuple[Word, ...]:
 def loads_scenario(text: str) -> DiskPairSystem:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
     return _from_dict(data)
 
@@ -128,7 +128,7 @@ def load_scenario(path) -> DiskPairSystem:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioFormatError(f"cannot read {path}: {exc}") from exc
     return loads_scenario(text)
 

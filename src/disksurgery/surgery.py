@@ -136,12 +136,13 @@ class DiskPairSystem:
         return self.labels_d if _check_disk(disk) == "D" else self.labels_e
 
 
-def _noncrossing(order, chords) -> bool:
-    """Whether a perfect matching of ``order``'s points has no crossing.
+def _first_crossing(order, chords):
+    """The first crossing of a perfect matching of ``order``'s points, or None.
 
     One scan along the order: a chord opens at its first endpoint and
     must close at its second while it is the innermost open chord, as
-    in matching brackets. O(k) for k chords.
+    in matching brackets, or it crosses that later, still open chord.
+    O(k) for k chords; a crossing is a sorted pair of sorted chords.
     """
     mate = {}
     for p, q in chords:
@@ -150,29 +151,20 @@ def _noncrossing(order, chords) -> bool:
     stack = []
     for p in order:
         if mate[p] in seen:
-            if stack.pop() != mate[p]:
-                return False
+            inner = stack.pop()
+            if inner != mate[p]:
+                return tuple(sorted(tuple(sorted((a, mate[a]))) for a in (p, inner)))
         else:
             seen.add(p)
             stack.append(p)
-    return True
-
-
-def _crossing_pairs(order, chords):
-    position = {p: i for i, p in enumerate(order)}
-    placed = [tuple(sorted((position[p], position[q]))) for p, q in chords]
-    crossing = []
-    for i in range(len(placed)):
-        for j in range(i + 1, len(placed)):
-            a, b = placed[i]
-            c, d = placed[j]
-            if (a < c < b) != (a < d < b):
-                crossing.append((chords[i], chords[j]))
-    return crossing
+    return None
 
 
 def validate_system(system: DiskPairSystem) -> list[Violation]:
-    """Check every invariant; returns all violations (empty when valid)."""
+    """Check every invariant; returns the violations (empty when valid).
+
+    A crossing order gives one violation, the first crossing its scan meets.
+    """
     out: list[Violation] = []
     try:
         check_rank(system.rank)
@@ -245,11 +237,9 @@ def validate_system(system: DiskPairSystem) -> list[Violation]:
                           for v in out)
     if matching_ok:
         for disk in DISKS:
-            order = system.order_of(disk)
-            if not orders_ok[disk] or _noncrossing(order, system.chords):
-                continue
-            # Only a crossing order pays for the pairwise scan that names them.
-            for first, second in _crossing_pairs(order, system.chords):
+            crossing = orders_ok[disk] and _first_crossing(system.order_of(disk), system.chords)
+            if crossing:
+                first, second = crossing
                 out.append(Violation(
                     f"crossing-chords-{disk.lower()}",
                     f"chords {first} and {second} cross in order_{disk.lower()}",

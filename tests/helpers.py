@@ -175,6 +175,25 @@ def reference_surgeries(system):
                  for outcome in reference_surger(system, choice))
 
 
+def reference_crossing_pairs(order, chords):
+    """Every pair of crossing chords of a perfect matching of ``order``'s
+    points, by comparing the positions of each pair of chords. O(k²).
+
+    Each pair is ``(chords[i], chords[j])`` with ``i < j``; the pair that
+    ``surgery._first_crossing`` names must be among them.
+    """
+    position = {p: i for i, p in enumerate(order)}
+    placed = [tuple(sorted((position[p], position[q]))) for p, q in chords]
+    crossing = []
+    for i in range(len(placed)):
+        for j in range(i + 1, len(placed)):
+            a, b = placed[i]
+            c, d = placed[j]
+            if (a < c < b) != (a < d < b):
+                crossing.append((chords[i], chords[j]))
+    return crossing
+
+
 def reference_minimize(word, rank):
     """The first-improvement descent by rewriting: each step applies the
     table's entries in order until one shortens the cyclic word.

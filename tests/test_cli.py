@@ -1,12 +1,28 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from disksurgery import builtin_scenario, render_text, run_report, save_scenario
+from disksurgery import (
+    builtin_scenario,
+    dumps_scenario,
+    render_text,
+    report,
+    run_report,
+    save_scenario,
+)
 from disksurgery.cli import main
 from disksurgery.words import MAX_RANK
-from helpers import DISK_E_WORD, OUTCOME_LONG, OUTCOME_SHORT, single_chord_system
+from helpers import (
+    DISK_E_WORD,
+    OUTCOME_LONG,
+    OUTCOME_SHORT,
+    child_env,
+    limit_memory,
+    single_chord_system,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -126,7 +142,7 @@ class TestValidate:
         path.write_text(json.dumps(data))
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 4
-        assert "crossing-chords-e" in out
+        assert out == "crossing-chords-e: chords ('p1', 'p2') and ('p3', 'p4') cross in order_e\n"
 
     def test_truncated_file_exit_four(self, capsys, tmp_path):
         path = tmp_path / "trunc.json"
@@ -134,6 +150,62 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 4
         assert "not valid JSON" in err
+
+
+def mutual_crossing_scenario(k):
+    """Scenario text of k chords that cross each other in both orders."""
+    starts = [f"a{i:05d}" for i in range(k)]
+    ends = [f"b{i:05d}" for i in range(k)]
+    return json.dumps({
+        "rank": 2, "points": starts + ends, "order_d": starts + ends,
+        "order_e": starts + ends, "chords": [list(c) for c in zip(starts, ends)],
+        "labels_d": ["1"] * (2 * k), "labels_e": ["1"] * (2 * k),
+    })
+
+
+def test_mutual_crossings_named_once_per_order(tmp_path):
+    # In a child under a memory limit and a timeout, so that naming every
+    # crossing pair (about 5 * 10**7 per order here) fails instead of
+    # exhausting memory.
+    path = tmp_path / "crossed.json"
+    path.write_text(mutual_crossing_scenario(10_000))
+    out = subprocess.run(
+        [sys.executable, "-m", "disksurgery.cli", "validate", str(path)],
+        capture_output=True, text=True,
+        env=child_env("pure"), preexec_fn=limit_memory, timeout=60,
+    )
+    assert out.returncode == 4, out.stderr
+    assert out.stdout.splitlines() == [
+        f"crossing-chords-{disk}: chords ('a00000', 'b00000') and ('a09999', 'b09999')"
+        f" cross in order_{disk}"
+        for disk in "de"
+    ]
+
+
+# Scenario files that cannot be decoded, for every command that reads one.
+LOADING_COMMANDS = [("validate",), ("closure",), ("closure", "--machine"), ("surgeries",)]
+
+
+class TestUndecodableScenario:
+    @pytest.mark.parametrize("command", LOADING_COMMANDS)
+    def test_not_utf8_exit_four(self, capsys, tmp_path, command):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", LOADING_COMMANDS)
+    def test_deep_nesting_exit_four(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: not valid JSON: maximum recursion depth exceeded")
+        assert len(err.splitlines()) == 1
 
 
 class TestSurgeries:
@@ -262,7 +334,62 @@ class TestClosure:
         assert "DEVIATION" in out
 
 
+class TestExpectedClassesChecked:
+    """``closure`` checks ``meta.expected_outcome_classes`` before surgery;
+    ``validate`` and ``surgeries`` leave ``meta`` free-form."""
+
+    @pytest.fixture(params=[
+        (1, "meta.expected_outcome_classes[1]: expected a string, got int"),
+        ("x1 zebra", "meta.expected_outcome_classes[1]: token 2:"),
+    ])
+    def bad_meta(self, request, tmp_path):
+        entry, message = request.param
+        data = json.loads(dumps_scenario(builtin_scenario("fig1", 3)))
+        data["meta"]["expected_outcome_classes"][1] = entry
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(data))
+        return path, message
+
+    @pytest.mark.parametrize("extra", [(), ("--machine",)])
+    def test_closure_exit_four_before_surgery(self, capsys, monkeypatch, bad_meta, extra):
+        path, message = bad_meta
+
+        def no_surgery(system):
+            raise AssertionError("surgery ran before meta was checked")
+
+        monkeypatch.setattr(report, "closure_report", no_surgery)
+        code, out, err = run(capsys, "closure", str(path), *extra)
+        assert code == 4
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+
+    def test_validate_and_surgeries_ignore_meta(self, capsys, bad_meta):
+        path, _ = bad_meta
+        assert run(capsys, "validate", str(path))[0] == 0
+        assert run(capsys, "surgeries", str(path))[0] == 0
+
+    def test_non_list_ignored(self, capsys, tmp_path):
+        data = json.loads(dumps_scenario(builtin_scenario("fig1", 3)))
+        data["meta"]["expected_outcome_classes"] = "x1"
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "closure", str(path))
+        assert code == 0
+        assert "DEVIATION" not in out
+
+
 class TestScenarioSubcommand:
+    @pytest.mark.parametrize("target", ["missing/out.json", "."])
+    def test_unwritable_out_exit_two(self, capsys, tmp_path, target):
+        path = tmp_path / target
+        code, out, err = run(capsys, "scenario", "--builtin", "fig1",
+                             "--genus", "3", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert len(err.splitlines()) == 1
+
     def test_writes_file(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         code, out, _ = run(capsys, "scenario", "--builtin", "fig1",

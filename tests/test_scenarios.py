@@ -60,6 +60,18 @@ class TestSchemaErrors:
         with pytest.raises(ScenarioFormatError, match="cannot read"):
             load_scenario(tmp_path / "absent.json")
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ScenarioFormatError, match="cannot read .*'utf-8' codec"):
+            load_scenario(path)
+        with pytest.raises(ScenarioFormatError, match="^not valid JSON"):
+            loads_scenario(b"{\"rank\": \"\xff\"}")
+
+    def test_deep_nesting(self):
+        with pytest.raises(ScenarioFormatError, match="^not valid JSON: maximum recursion depth"):
+            loads_scenario("[" * 200_000 + "]" * 200_000)
+
     def test_missing_field(self):
         data = json.loads(dumps_scenario(builtin_scenario("fig1", 3)))
         del data["chords"]

@@ -22,7 +22,7 @@ from disksurgery import (
     unoriented_cyclic_class,
     validate_system,
 )
-from disksurgery.surgery import _crossing_pairs, _noncrossing
+from disksurgery.surgery import _first_crossing
 from helpers import (
     DISK_E_WORD,
     OUTCOME_LONG,
@@ -30,6 +30,7 @@ from helpers import (
     disjoint_system,
     random_noncrossing_matching,
     random_system,
+    reference_crossing_pairs,
     reference_surgeries,
     reference_surger,
     single_chord_system,
@@ -66,9 +67,9 @@ class TestValidate:
             labels_d=(Word(),) * 4,
             labels_e=(Word(),) * 4,
         )
-        codes = {v.code for v in validate_system(system)}
-        assert "crossing-chords-d" in codes
-        assert "crossing-chords-e" not in codes
+        assert [str(v) for v in validate_system(system)] == [
+            "crossing-chords-d: chords ('p1', 'p3') and ('p2', 'p4') cross in order_d",
+        ]
 
     def test_disjoint_disks_valid(self):
         assert validate_system(disjoint_system()) == []
@@ -114,7 +115,7 @@ def matchings(draw):
     else:
         order = [f"p{i}" for i in draw(st.permutations(range(2 * k)))]
         chords = [(f"p{2 * i}", f"p{2 * i + 1}") for i in range(k)]
-    return tuple(order), tuple(tuple(sorted(c)) for c in chords)
+    return tuple(order), tuple(sorted(tuple(sorted(c)) for c in chords))
 
 
 class TestValidateManyPoints:
@@ -147,17 +148,33 @@ class TestValidateManyPoints:
 
 
 class TestNoncrossingScan:
+    """The scan names a crossing pair that the pairwise reference lists."""
+
     @given(matchings())
     def test_agrees_with_pairwise_list(self, case):
         order, chords = case
-        assert _noncrossing(order, chords) == (not _crossing_pairs(order, chords))
+        crossing = _first_crossing(order, chords)
+        pairs = reference_crossing_pairs(order, chords)
+        assert (crossing is None) == (not pairs)
+        if pairs:
+            assert crossing in pairs
+        if len(pairs) == 1:
+            assert crossing == pairs[0]
+
+    def test_innermost_open_chord_named(self):
+        # Every chord crosses every other; the first to close is (a0, b0),
+        # while the last to open, (a4, b4), is innermost.
+        order = [f"a{i}" for i in range(5)] + [f"b{i}" for i in range(5)]
+        chords = [(f"a{i}", f"b{i}") for i in range(5)]
+        assert len(reference_crossing_pairs(order, chords)) == 10
+        assert _first_crossing(order, chords) == (("a0", "b0"), ("a4", "b4"))
 
     def test_both_verdicts_drawn(self):
         seen = set()
 
         @given(matchings())
         def collect(case):
-            seen.add(_noncrossing(*case))
+            seen.add(_first_crossing(*case) is None)
 
         collect()
         assert seen == {True, False}
