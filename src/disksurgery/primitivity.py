@@ -19,7 +19,7 @@ from ``a`` to ``a^-1`` reaches ``deg(a)``, as then no ``A`` reduces. For
 the first one left, the letter sets are scanned in table order up to the
 first with ``cap(A) < deg(a)``. That is the first table entry that
 shortens the word, so certificates are those of trying every entry in
-turn, and only the chosen entry is applied.
+turn, but the step is built from its ``(a, A)`` alone.
 
 Two independent routes are provided and cross-checked by the test suite:
 
@@ -89,6 +89,19 @@ def _check_ints(name, values):
             raise ValueError(f"{name} entries must be ints, got {x!r}")
 
 
+def _image_pair(x, a, state):
+    """Images of a generator ``x`` and of ``x^-1`` under the second-kind
+    ``(A, a)``; ``state`` is 0, 1, 2 or 3 as neither, only ``x``, only
+    ``x^-1`` or both lie in ``A``. ``x = a^{+-1}`` takes state 0."""
+    if state == 0:
+        return (x,), (-x,)
+    if state == 1:
+        return (x, a), (-a, -x)
+    if state == 2:
+        return (-a, x), (-x, a)
+    return (-a, x, a), (-a, -x, a)
+
+
 class WhiteheadAuto:
     """A Whitehead generator of Aut(F_rank).
 
@@ -141,19 +154,9 @@ class WhiteheadAuto:
     def _second_images(self):
         a, members = self.multiplier, self.members
         images = []
-        for x in _letters_in_order(self.rank):
-            if x == a or x == -a:
-                images.append((x,))
-                continue
-            member, inv_member = x in members, -x in members
-            if member and not inv_member:
-                images.append((x, a))
-            elif inv_member and not member:
-                images.append((-a, x))
-            elif member and inv_member:
-                images.append((-a, x, a))
-            else:
-                images.append((x,))
+        for x in range(1, self.rank + 1):
+            state = 0 if x == abs(a) else (x in members) + 2 * (-x in members)
+            images += _image_pair(x, a, state)
         return tuple(images)
 
     def _first_images(self):
@@ -212,6 +215,14 @@ class WhiteheadAuto:
 
 
 @lru_cache(maxsize=None)
+def _second_auto(rank, multiplier, members):
+    """The second-kind ``(members, multiplier)``, built once per argument
+    triple, so that a descent step is the very table entry for its
+    ``(a, A)`` whichever is built first."""
+    return WhiteheadAuto.second(rank, multiplier, members)
+
+
+@lru_cache(maxsize=None)
 def enumerate_whitehead_autos(rank: int) -> tuple[WhiteheadAuto, ...]:
     """Deterministic enumeration of Whitehead automorphisms.
 
@@ -225,12 +236,12 @@ def enumerate_whitehead_autos(rank: int) -> tuple[WhiteheadAuto, ...]:
     letters = _letters_in_order(rank)
     for a in letters:
         others = [x for x in letters if abs(x) != abs(a)]
-        for mask in range(1 << len(others)):
-            members = {a}
-            for j, x in enumerate(others):
-                if mask >> j & 1:
-                    members.add(x)
-            autos.append(WhiteheadAuto.second(rank, a, members))
+        # Bit j of a mask stands for others[j]; each set adds its lowest bit's letter.
+        sets = [frozenset([a])]
+        for mask in range(1, 1 << len(others)):
+            low = mask & -mask
+            sets.append(sets[mask ^ low] | {others[low.bit_length() - 1]})
+        autos += (_second_auto(rank, a, members) for members in sets)
     identity_perm = tuple(range(1, rank + 1))
     plus = (1,) * rank
     for i in range(1, rank):
@@ -380,8 +391,7 @@ def _reducing_step(letters, rank):
     Returns ``(auto, predicted cyclic length of the image)``. Letters
     outside the support would be isolated vertices: as multipliers they
     have degree 0, and as members they leave ``cap(A)`` unchanged while
-    raising the table index, so the first reducer never involves one.
-    The table is fetched only once a step is chosen.
+    coming later in table order, so the first reducer never involves one.
 
     Only positive multipliers are tried, one max flow each. The graph is
     undirected and ``deg(x) = deg(x^-1)``, as both count the occurrences
@@ -404,12 +414,8 @@ def _reducing_step(letters, rank):
             raise RuntimeError(f"no reducing set for multiplier {format_letter(multiplier)}"
                                " though the min cut is below its degree")
         members, change = found
-        index = letter_key(multiplier) * 4 ** (rank - 1)
-        for v in members:
-            # The bit of x in the table's mask over the letters other than +-a.
-            x = vertices[v]
-            index += 1 << (letter_key(x) - (2 if abs(x) > abs(multiplier) else 0))
-        return enumerate_whitehead_autos(rank)[index], len(letters) + change
+        members = frozenset([multiplier, *(vertices[v] for v in members)])
+        return _second_auto(rank, multiplier, members), len(letters) + change
     return None
 
 
@@ -422,19 +428,12 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
     local minimum global, so the verdict is ``primitive`` exactly when
     the minimum has length one.
 
-    Each step reads its automorphism off the word's Whitehead graph
-    instead of trying table entries: the second-kind ``(A, a)`` changes
-    the cyclic length by ``cap(A) - deg(a)``. Multipliers are taken in
-    table order, skipping each one whose max flow from ``a`` to ``a^-1``
-    reaches ``deg(a)``; that test gives the same answer for ``a`` and
-    ``a^-1``, so it runs for positive multipliers only. For the first
-    multiplier left, letter sets are scanned
-    in table order up to the first with ``cap(A) < deg(a)``. First-kind
-    automorphisms never shorten a cyclic word. The chosen automorphism is
-    the table's own object, the one that rewriting the word with every
-    entry in turn would find first, and it is the only one applied;
-    ``RuntimeError`` is raised if the image's length is not the predicted
-    one. A word that is already minimal never builds the table.
+    Each step reads its automorphism off the word's Whitehead graph, as
+    :func:`_reducing_step` describes, instead of trying table entries. It
+    is the entry that rewriting the word with every one in turn would find
+    first, built on its own, and the only one applied; ``RuntimeError`` is
+    raised if the image's length is not the predicted one. No Whitehead
+    table is built.
 
     ``_checked`` is for :func:`is_primitive`, which has checked the rank
     and the word's support already.
@@ -507,6 +506,8 @@ def _resolve_cap(node_cap: int | None) -> int:
         except ValueError:
             raise ValueError(f"{_ORACLE_CAP_ENV}={raw!r} is not an integer") from None
         source = _ORACLE_CAP_ENV
+    elif not isinstance(node_cap, int) or isinstance(node_cap, bool):
+        raise TypeError(f"node_cap must be an int, got {node_cap!r}")
     if node_cap < 1:
         raise ValueError(f"{source} must be >= 1, got {node_cap}")
     return node_cap
@@ -516,16 +517,13 @@ def _second_kind_images(rank: int):
     """Image tables of the second-kind ``(A, a)`` with ``a`` positive and
     ``1 < |A| < 2*rank - 1``, built from ``(a, A)`` one at a time.
 
-    For a positive ``a``, each other generator ``x`` contributes the pair
-    (image of ``x``, image of ``x^-1``), which takes one of four values as
-    neither, only ``x``, only ``x^-1`` or both lie in ``A``. The tables are
+    For a positive ``a``, each other generator ``x`` contributes its
+    :func:`_image_pair` in one of four states. The tables are
     the products of these choices, less the first (``A = {a}``) and the
     last (``|A| = 2*rank - 1``). There are ``rank * (4**(rank - 1) - 2)``.
     """
     for a in range(1, rank + 1):
-        choices = [(((x,), (-x,)),) if x == a else
-                   (((x,), (-x,)), ((x, a), (-a, -x)), ((-a, x), (-x, a)),
-                    ((-a, x, a), (-a, -x, a)))
+        choices = [[_image_pair(x, a, state) for state in range(1 if x == a else 4)]
                    for x in range(1, rank + 1)]
         for pairs in islice(product(*choices), 1, 4 ** (rank - 1) - 1):
             yield tuple(chain.from_iterable(pairs))
@@ -579,8 +577,8 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
     are retained (default ``DEFAULT_ORACLE_CAP``, overridable via the
     ``DISKSURGERY_ORACLE_CAP`` environment variable), which happens
     exactly when the closure has more than ``node_cap`` words; the seeds
-    count. ``max_len`` must be an int (``TypeError`` otherwise, bools
-    included) of at least 1, and a cap below 1 raises ``ValueError``.
+    count. ``max_len`` and ``node_cap`` must be ints (``TypeError``
+    otherwise, bools included) of at least 1 (``ValueError`` otherwise).
     """
     check_rank(rank)
     if not isinstance(max_len, int) or isinstance(max_len, bool):

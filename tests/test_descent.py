@@ -6,6 +6,7 @@ in turn. They must agree on verdicts, minimal words and the very table
 objects in the certificate, on either kernel backend.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from disksurgery import (
     builtin_scenario,
     enumerate_whitehead_autos,
     load_scenario,
+    parse_word,
     primitivity,
     whitehead_minimize,
 )
@@ -185,6 +187,24 @@ class TestSupportRank:
         finally:
             enumerate_whitehead_autos.cache_clear()
 
+    def test_steps_built_first_are_table_entries(self):
+        # Benchmark tracing finds each certificate entry in the table by
+        # identity, and the table may be built after the descent.
+        caches = (enumerate_whitehead_autos, primitivity._second_auto)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            certificate = [auto for text in ("x1 x2 x1 x2 x2", "x3 x4^-1 x3 x1 x4 x2 x4",
+                                             "x4 x3 x4 x3^-1 x2 x1^-1 x2 x4^-1")
+                           for auto in whitehead_minimize(parse_word(text, 4), 4).certificate]
+            assert len(certificate) == 15
+            assert enumerate_whitehead_autos.cache_info().currsize == 0
+            table = {id(auto) for auto in enumerate_whitehead_autos(4)}
+            assert all(id(auto) in table for auto in certificate)
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
 
 # Runs the rank-12 cases and reports whether any Whitehead table was built.
 RANK12_PROBE = """
@@ -192,7 +212,8 @@ from disksurgery import primitivity
 from disksurgery.cli import main
 codes = [main(["primitive", "--rank", "12", "x1"]),
          main(["primitive", "--rank", "12", "x1 x2 x1^-1 x2^-1"]),
-         main(["primitive", "--rank", "12", "--no-oz", "x1 x2 x1^-1 x2^-1"])]
+         main(["primitive", "--rank", "12", "--no-oz", "x1 x2 x1^-1 x2^-1"]),
+         main(["primitive", "--rank", "12", "x1 x2 x1 x2 x2"])]
 print("codes", *codes)
 print("tables", primitivity.enumerate_whitehead_autos.cache_info().currsize)
 """
@@ -206,6 +227,26 @@ def test_rank12_answers_without_a_table():
     )
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert "codes 0 3 3" in lines
+    assert "codes 0 3 3 0" in lines
     assert "tables 0" in lines
     assert lines.count("minimal cyclic word: x1 x2 x1^-1 x2^-1 (length 4)") == 2
+    assert sum(line.startswith("  step ") for line in lines) == 4
+
+
+def test_rank9_closure_without_a_table(tmp_path):
+    # The golden rank-3 pair read at rank 9, in a child under a memory
+    # limit: building the rank-9 table there ends in a MemoryError.
+    data = json.loads((GOLDEN / "mixed_rank3.json").read_text())
+    data["rank"] = 9
+    (tmp_path / "mixed_rank9.json").write_text(json.dumps(data))
+    out = subprocess.run(
+        [sys.executable, "-m", "disksurgery.cli", "closure", "mixed_rank9.json"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=child_env("pure"), preexec_fn=limit_memory, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    golden = (GOLDEN / "closure_mixed_rank3.txt").read_text().splitlines()
+    lines = out.stdout.splitlines()
+    assert lines[:2] == ["scenario: mixed_rank9.json", "rank: 9"]
+    assert golden[:2] == ["scenario: mixed_rank3.json", "rank: 3"]
+    assert lines[2:] == golden[2:]

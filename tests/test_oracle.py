@@ -103,13 +103,18 @@ def test_closed_under_first_kind_and_inversion(case):
             assert all(apply_auto_cyclic(auto, cyclic) in closure for cyclic in closure), auto
 
 
-@pytest.mark.parametrize("max_len", [1.0, 2.5, True, "3"])
-def test_max_len_must_be_an_int(max_len, monkeypatch):
+BAD_SIZES = [("max_len", value) for value in (1.0, 2.5, True, "3")] + \
+    [("node_cap", value) for value in (1.0, 2.5, True, "9")]
+
+
+@pytest.mark.parametrize("name, value", BAD_SIZES, ids=[
+    str(value) if name == "max_len" else f"{name}={value}" for name, value in BAD_SIZES])
+def test_max_len_must_be_an_int(name, value, monkeypatch):
     # Checked before any work, so max_len 1.0 cannot pass for 1 by making
-    # no kernel call.
+    # no kernel call, and a bad cap never reaches a comparison.
     monkeypatch.setattr(primitivity, "apply_images_canonical", None)
-    with pytest.raises(TypeError, match="max_len must be an int"):
-        oracle_primitives(2, max_len)
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        oracle_primitives(2, **{"max_len": 2, name: value})
 
 
 RANK7_PROBE = """
