@@ -11,9 +11,9 @@ import sys
 
 from .primitivity import (
     OracleCapExceeded,
+    _replay,
     is_primitive,
     oracle_primitives,
-    replay_certificate,
 )
 from .report import render_json, render_text, run_report
 from .scenarios import (
@@ -27,10 +27,11 @@ from .scenarios import (
 from .surgery import (
     DisjointDisksError,
     InvalidSystemError,
-    all_surgeries,
+    _outcomes,
     validate_system,
 )
 from .words import (
+    MAX_RANK,
     WordSyntaxError,
     format_word,
     parse_word,
@@ -50,7 +51,7 @@ def _infer_rank(text: str) -> int:
         digits = token[1:].split("^")[0] if token.startswith("x") else ""
         if digits.isdigit():
             indices.append(int(digits))
-    return max([2] + indices)
+    return min(max([2] + indices), MAX_RANK)
 
 
 def _cmd_reduce(args) -> int:
@@ -69,14 +70,11 @@ def _cmd_primitive(args) -> int:
     print(f"oz fired: {'yes' if verdict.oz_fired else 'no'}")
     print(f"minimal cyclic word: {format_word(verdict.minimal)} "
           f"(length {len(verdict.minimal)})")
-    if verdict.certificate:
-        print("certificate:")
-        trail = replay_certificate(word, verdict.certificate)
-        for step, (auto, cyclic) in enumerate(zip(verdict.certificate, trail[1:]), start=1):
-            print(f"  step {step}: {auto.describe()} -> {format_word(cyclic)}"
-                  f" (length {len(cyclic)})")
-    else:
-        print("certificate: (empty)")
+    print("certificate:" if verdict.certificate else "certificate: (empty)")
+    trail = _replay(word.cyclic(), verdict.certificate)
+    for step, (auto, cyclic) in enumerate(zip(verdict.certificate, trail), start=1):
+        print(f"  step {step}: {auto.describe()} -> {format_word(cyclic)}"
+              f" (length {len(cyclic)})")
     return EXIT_OK if verdict.primitive else EXIT_NOT_PRIMITIVE
 
 
@@ -110,7 +108,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_surgeries(args) -> int:
     system, _ = _load_for(args)
-    for i, outcome in enumerate(all_surgeries(system), start=1):
+    for i, outcome in enumerate(_outcomes(system), start=1):
         cyclic = unoriented_cyclic_class(outcome.boundary_word)
         print(f"[{i}] {outcome.choice.describe()} | piece {outcome.piece}"
               f" | arcs left {outcome.inherited_chords}")

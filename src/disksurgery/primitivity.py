@@ -42,7 +42,7 @@ Two independent routes are provided and cross-checked by the test suite:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, product
 
@@ -265,13 +265,13 @@ def _check_support(letters, rank: int):
 def apply_auto(auto: WhiteheadAuto, word: Word) -> Word:
     """Apply the automorphism letterwise and freely reduce."""
     _check_support(word.letters, auto.rank)
-    return Word(apply_images(word.letters, auto.images))
+    return Word._from_valid(apply_images(word.letters, auto.images))
 
 
 def apply_auto_cyclic(auto: WhiteheadAuto, cyclic: CyclicWord) -> CyclicWord:
     """Induced action on conjugacy classes (canonical cyclic output)."""
     _check_support(cyclic.letters, auto.rank)
-    return CyclicWord(apply_images_canonical(cyclic.letters, auto.images))
+    return CyclicWord._from_canonical(apply_images_canonical(cyclic.letters, auto.images))
 
 
 @dataclass(frozen=True, slots=True)
@@ -441,7 +441,7 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
     if not _checked:
         check_rank(rank)
         _check_support(word.letters, rank)
-    current = word if isinstance(word, CyclicWord) else CyclicWord(word.letters)
+    current = word if isinstance(word, CyclicWord) else word.cyclic()
     certificate = []
     while len(current) > 1:
         step = _reducing_step(current.letters, rank)
@@ -468,7 +468,7 @@ def oz_rank2_nonprimitive(word: CyclicWord | Word) -> bool:
     generator together with its inverse cannot lie in any free basis of
     the rank-2 free group. Only applicable in rank-2 context.
     """
-    cyclic = word if isinstance(word, CyclicWord) else CyclicWord(word.letters)
+    cyclic = word if isinstance(word, CyclicWord) else word.cyclic()
     seen = set(cyclic.letters)
     if any(abs(a) > 2 for a in seen):
         raise ValueError("rank-2 test applied to a word with higher generators")
@@ -607,11 +607,14 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
     return frozenset(CyclicWord._from_canonical(letters) for letters in seen)
 
 
-def replay_certificate(word: Word | CyclicWord, certificate) -> tuple[CyclicWord, ...]:
-    """Trail of cyclic words visited by a certificate, start included."""
-    current = CyclicWord(tuple(word.letters))
-    trail = [current]
+def _replay(current, certificate):
+    """The cyclic word after each certificate step from ``current``, one at a time."""
     for auto in certificate:
         current = apply_auto_cyclic(auto, current)
-        trail.append(current)
-    return tuple(trail)
+        yield current
+
+
+def replay_certificate(word: Word | CyclicWord, certificate) -> tuple[CyclicWord, ...]:
+    """Trail of cyclic words visited by a certificate, start included."""
+    start = word if isinstance(word, CyclicWord) else word.cyclic()
+    return (start, *_replay(start, certificate))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .primitivity import PrimitivityVerdict, is_primitive
 from .words import CyclicWord, Word, check_rank, concat

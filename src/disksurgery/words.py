@@ -12,15 +12,16 @@ The rank of the ambient free group is a context parameter passed to
 parsing and validation, not stored on words, so the same value can be
 read in any free group whose rank covers its generator indices.
 
-Which constructors check: ``Word(...)``, ``CyclicWord(...)`` and
-:func:`parse_word` check every letter (a nonzero int within
-``MAX_RANK``, and within the rank for parsing). Results derived from
-words that were already checked trust their inputs and do not check
-again: :func:`concat` of words, ``*``, :meth:`Word.inverse`,
-:meth:`Word.reduced`, :meth:`Word.cyclic`, :meth:`CyclicWord.inverse`
-and :func:`unoriented_cyclic_class`. They build their results through
-the private ``Word._from_valid`` and ``CyclicWord._from_canonical``,
-whose callers vouch for the letters.
+Which constructors check: ``Word(...)`` and ``CyclicWord(...)`` check
+every letter (a nonzero int within ``MAX_RANK``; a bool is stored as its
+int), and :func:`parse_word` checks each token against the rank. Results
+built from checked letters trust them: :func:`parse_word`'s result,
+:func:`concat`, ``*``, :meth:`Word.inverse`, :meth:`Word.reduced`,
+:meth:`Word.cyclic`, :meth:`CyclicWord.inverse`,
+:func:`unoriented_cyclic_class`, and in ``primitivity`` ``apply_auto``,
+``apply_auto_cyclic`` and the certificate replay, whose images were
+checked with their automorphism. They wrap results with the private
+``Word._from_valid`` and ``CyclicWord._from_canonical``.
 
 Text syntax (CLI and scenario files): whitespace-separated tokens
 ``x<k>`` and ``x<k>^-1``; the empty word is the single token ``1``.
@@ -83,7 +84,7 @@ def _validated(letters: Iterable[int]) -> tuple[int, ...]:
         raise ValueError(
             f"generator index {max(map(abs, out))} exceeds the largest rank {MAX_RANK}"
         )
-    return out
+    return tuple(map(int, out)) if bool in map(type, out) else out
 
 
 @dataclass(frozen=True, slots=True)
@@ -211,7 +212,7 @@ def parse_word(text: str, rank: int) -> Word:
     if not tokens:
         raise WordSyntaxError("empty input: the empty word is written '1'")
     if tokens == ["1"]:
-        return Word()
+        return Word._from_valid(())
     letters = []
     for pos, tok in enumerate(tokens, start=1):
         m = _TOKEN.match(tok)
@@ -227,7 +228,7 @@ def parse_word(text: str, rank: int) -> Word:
                 f"token {pos}: generator index {index} exceeds rank {rank}"
             )
         letters.append(index if m.group(2) is None else -index)
-    return Word(tuple(letters))
+    return Word._from_valid(tuple(letters))
 
 
 class _Tokens(dict):

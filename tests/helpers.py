@@ -124,9 +124,10 @@ def single_chord_system(labels_d, labels_e, rank=2) -> DiskPairSystem:
 MEMORY_LIMIT = 512 * 2**20
 
 
-def limit_memory():
-    """``preexec_fn`` for a child held to ``MEMORY_LIMIT``."""
-    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+def limit_memory(limit=MEMORY_LIMIT):
+    """``preexec_fn`` for a child held to ``limit`` bytes, ``MEMORY_LIMIT``
+    by default; ``functools.partial`` gives it another limit."""
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
 def child_env(kernel):

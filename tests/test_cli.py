@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,12 @@ import pytest
 from disksurgery import (
     builtin_scenario,
     dumps_scenario,
+    format_word,
+    is_primitive,
+    parse_word,
+    primitivity,
     render_text,
+    replay_certificate,
     report,
     run_report,
     save_scenario,
@@ -50,12 +56,17 @@ class TestReduce:
         assert "error" in err
 
     def test_index_above_rank_bound_usage_error(self, capsys):
-        # The inferred rank is the largest index; both backends stop here,
-        # before the word reaches a kernel.
+        # The inferred rank is the largest index, capped at MAX_RANK; both
+        # backends stop here, before the word reaches a kernel.
         code, out, err = run(capsys, "reduce", f"x{2**70} x1")
         assert code == 2
         assert out == ""
-        assert f"from 2 to {MAX_RANK}" in err
+        assert f"token 1: generator index {2**70} exceeds rank {MAX_RANK}" in err
+
+    def test_index_just_above_rank_bound_names_the_token(self, capsys):
+        code, out, err = run(capsys, "reduce", "x1 x3000000000")
+        assert (code, out) == (2, "")
+        assert err == f"error: token 2: generator index 3000000000 exceeds rank {MAX_RANK}\n"
 
 
 class TestPrimitive:
@@ -79,6 +90,24 @@ class TestPrimitive:
         _, out, _ = run(capsys, "primitive", "--rank", "2", "x2 x1 x2")
         assert "certificate:" in out
         assert "step 1:" in out
+
+    @pytest.mark.parametrize("rank, text", [
+        (2, "x2 x1 x2"), (2, "x1 x1 x1 x1 x2^-1"), (2, OUTCOME_LONG),
+        (4, "x1 x2 x3 x4 x1 x2 x3 x1 x2 x1"), (3, "x1 x2 x1^-1 x2^-1 x3"),
+    ])
+    def test_printed_trail_is_the_replayed_certificate(self, capsys, rank, text):
+        code, out, _ = run(capsys, "primitive", "--rank", str(rank), "--no-oz", text)
+        word = parse_word(text, rank)
+        verdict = is_primitive(word, rank, use_oz=False)
+        trail = replay_certificate(word, verdict.certificate)
+        # The CLI iterates the same replay lazily, one word at a time.
+        lazy = primitivity._replay(word.cyclic(), verdict.certificate)
+        assert iter(lazy) is lazy
+        assert trail == (word.cyclic(), *lazy)
+        steps = [line.split(" -> ")[1] for line in out.splitlines() if line.startswith("  step ")]
+        assert steps == [f"{format_word(c)} (length {len(c)})" for c in trail[1:]]
+        assert len(steps) == len(verdict.certificate) > 0
+        assert code == (0 if verdict.primitive else 3)
 
     def test_missing_rank_usage_error(self, capsys):
         code, _, _ = run(capsys, "primitive", "x1")
@@ -180,6 +209,24 @@ def test_mutual_crossings_named_once_per_order(tmp_path):
         f" cross in order_{disk}"
         for disk in "de"
     ]
+
+
+def test_long_certificate_printed_in_bounded_memory():
+    # x1^3000 x2 is primitive and its certificate has 3,000 steps, whose
+    # words total about 4.5 million letters. Replayed one at a time they fit
+    # in 36 MiB of address space; keeping the whole trail needs about 55 MiB.
+    k = 3000
+    out = subprocess.run(
+        [sys.executable, "-m", "disksurgery.cli", "primitive", "--rank", "2",
+         " ".join(["x1"] * k + ["x2"])],
+        capture_output=True, text=True, env=child_env("pure"),
+        preexec_fn=partial(limit_memory, 36 * 2**20), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    lines = out.stdout.splitlines()
+    assert lines[2] == "verdict: primitive"
+    assert len(lines) == 6 + k
+    assert lines[-1].startswith(f"  step {k}: second(") and lines[-1].endswith(" (length 1)")
 
 
 # Scenario files that cannot be decoded, for every command that reads one.

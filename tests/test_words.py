@@ -10,7 +10,10 @@ from disksurgery import (
     Word,
     WordSyntaxError,
     abelianize,
+    apply_auto,
+    apply_auto_cyclic,
     concat,
+    enumerate_whitehead_autos,
     format_word,
     parse_word,
     unoriented_cyclic_class,
@@ -103,6 +106,13 @@ class TestLetterRange:
     @pytest.mark.parametrize("cls", [Word, CyclicWord])
     def test_max_rank_accepted(self, cls):
         assert len(cls((MAX_RANK, 1, -MAX_RANK, 2))) == 4
+
+    def test_bool_letters_stored_as_ints(self, backend):
+        # The compiled kernels return ints; the pure ones pass letters through.
+        results = [Word((True, -2)).letters, CyclicWord((True, 2)).letters,
+                   Word((True, True)).reduced().letters, Word((1, True)).cyclic().letters]
+        assert results == [(1, -2), (1, 2), (1, 1), (1, 1)]
+        assert all(type(a) is int for letters in results for a in letters)
 
 
 class TestReduce:
@@ -304,6 +314,17 @@ class TestTrustedPaths:
         assert type(cyclic) is CyclicWord and type(cyclic.letters) is tuple
         assert cyclic == CyclicWord(tuple(left))
         assert cyclic.letters == least_of_rotations(brute_cyclic_reduce(left))
+
+    @SWAPPED
+    @given(letters(), st.sampled_from(enumerate_whitehead_autos(3)))
+    def test_parsed_words_and_images_equal_checked_ones(self, backend, seq, auto):
+        word = Word(tuple(seq))
+        parsed = parse_word(format_word(word), 3)
+        assert type(parsed.letters) is tuple and parsed == word
+        image = apply_auto(auto, word)
+        assert type(image.letters) is tuple and image == Word(image.letters)
+        cyclic = apply_auto_cyclic(auto, word.cyclic())
+        assert type(cyclic.letters) is tuple and cyclic == CyclicWord(image.letters)
 
     @pytest.mark.parametrize("cls, bad", [
         (Word, (0,)), (Word, (2**70,)), (Word, (1.5,)), (CyclicWord, ("a",)),
