@@ -14,12 +14,28 @@ letter and one edge between ``w[i]`` and ``w[i+1]^-1`` per cyclic
 position. The second-kind automorphism ``(A, a)`` takes a cyclic word of
 length ``n`` to one of length ``n + cap(A) - deg(a)``, where ``cap(A)``
 counts the edges leaving ``A``; first-kind automorphisms keep the length.
-Multipliers are tried in table order, and one is skipped when a max flow
-from ``a`` to ``a^-1`` reaches ``deg(a)``, as then no ``A`` reduces. For
-the first one left, the letter sets are scanned in table order up to the
-first with ``cap(A) < deg(a)``. That is the first table entry that
-shortens the word, so certificates are those of trying every entry in
-turn, but the step is built from its ``(a, A)`` alone.
+Multipliers are tried in table order. For each, the first table entry
+that shortens the word is its letter set with ``cap(A) < deg(a)`` and the
+least mask, so certificates are those of trying every entry in turn, but
+the step is built from its ``(a, A)`` alone. That mask is found in time
+polynomial in the word, never by walking the ``4**(s - 1)`` masks of a
+support of ``s`` generators:
+
+* at ``s <= 4`` (at most 64 masks) the masks are scanned in order;
+* above that, a multiplier is skipped when a max flow from ``a`` to
+  ``a^-1`` reaches ``deg(a)``, as then no ``A`` reduces; otherwise the
+  first 1,024 masks are scanned (every mask for ``s <= 6``), and past
+  them the mask's bits are fixed from the highest down by one max flow
+  each, with the vertices forced into ``A`` tied to ``a`` and those
+  forced out tied to ``a^-1``. Finding Whitehead reductions through cuts
+  of the Whitehead graph in polynomial time follows Gersten and Roig,
+  Ventura and Weil (*On the complexity of the Whitehead minimization
+  problem*, 2007).
+
+Both bounds only set what a step costs: scan and flows give the same
+least mask. The graph does not change under rotation, so the words
+between steps are kept cyclically reduced but unrotated, and only the
+last one is put in canonical form.
 
 Two independent routes are provided and cross-checked by the test suite:
 
@@ -352,21 +368,23 @@ def _flow_reaches(adj, source, sink, limit):
     return True
 
 
-def _first_reducing_set(adj, degree, a):
+def _first_reducing_set(adj, degree, a, stop=None):
     """First letter set, in table mask order, that shortens the word with
-    multiplier vertex ``a``.
+    multiplier vertex ``a``, among the masks below ``stop`` (all masks by
+    default).
 
     Returns the member vertices other than ``a`` and ``cap(A) - deg(a)``,
     which is negative. Bit ``k`` of a mask stands for the ``k``-th vertex
     other than ``a`` and ``a^-1``. Masks run upwards, and the edges inside
     ``A`` come from three smaller masks by inclusion-exclusion over the
     two lowest bits, so each mask costs O(1). Returns ``None`` when no
-    mask reduces.
+    mask scanned reduces.
     """
     others = [v for v in range(len(adj)) if v >> 1 != a >> 1]
+    masks = 1 << len(others)
     inside = [0]  # edges with both ends in A = {a} + members of the mask
     weight = [0]  # sum of the members' degrees, a excluded
-    for mask in range(1, 1 << len(others)):
+    for mask in range(1, masks if stop is None else min(stop, masks)):
         low = mask & -mask
         rest = mask ^ low
         v = others[low.bit_length() - 1]
@@ -385,6 +403,46 @@ def _first_reducing_set(adj, degree, a):
     return None
 
 
+def _smallest_reducing_set(adj, degree, a):
+    """The reducing set of multiplier vertex ``a`` with the least mask,
+    found by max flows; ``a`` must have one, that is, its max flow to
+    ``a^-1`` is below ``deg(a)``. Returns what :func:`_first_reducing_set`
+    does.
+
+    A vertex forced into ``A`` is tied to ``a``, and one forced out to
+    ``a^-1``, by an edge of capacity ``deg(a)``. Every cut through a tie
+    has capacity at least ``deg(a)``, so a reducing set that obeys the
+    ties exists exactly when the max flow stays below ``deg(a)``. The
+    mask's bits are fixed from the highest down: a vertex is left out
+    when some reducing set still exists without it, and put in otherwise.
+    That takes one flow per vertex other than ``a`` and ``a^-1``.
+    """
+    limit, sink = degree[a], a ^ 1
+    tied = [row[:] for row in adj]
+    members = []
+    for v in reversed(range(len(adj))):
+        if v >> 1 == a >> 1:
+            continue
+        tied[v][sink] += limit
+        tied[sink][v] += limit
+        if _flow_reaches(tied, a, sink, limit):
+            tied[v][sink] -= limit
+            tied[sink][v] -= limit
+            tied[v][a] += limit
+            tied[a][v] += limit
+            members.append(v)
+    members.reverse()
+    inside = [a, *members]
+    cap = sum(degree[u] for u in inside) - sum(adj[u][v] for u in inside for v in inside)
+    return members, cap - limit
+
+
+# Bounds on a multiplier's letter-set masks, of which a support of s
+# generators has 4**(s - 1); _reducing_step says why neither changes a step.
+_SCAN_ONLY_MASKS = 1 << 6  # s <= 4: the scan alone, no max flow
+_SCAN_MASKS = 1 << 10  # scanned before flows fix the mask; every mask for s <= 6
+
+
 def _reducing_step(letters, rank):
     """The first length-reducing automorphism in table order, or ``None``.
 
@@ -393,26 +451,42 @@ def _reducing_step(letters, rank):
     have degree 0, and as members they leave ``cap(A)`` unchanged while
     coming later in table order, so the first reducer never involves one.
 
-    Only positive multipliers are tried, one max flow each. The graph is
-    undirected and ``deg(x) = deg(x^-1)``, as both count the occurrences
-    of ``x`` and ``x^-1``, so the flow test for ``x^-1`` repeats the one
-    for ``x`` just before it in table order: either ``x`` is skipped and
-    so is ``x^-1``, or ``x`` has a reducer and ``x^-1`` is never reached.
-    The first reducer therefore always has a positive multiplier.
+    Only positive multipliers are tried. The graph is undirected and
+    ``deg(x) = deg(x^-1)``, as both count the occurrences of ``x`` and
+    ``x^-1``, and ``A`` reduces for ``x`` exactly when its complement
+    reduces for ``x^-1``: either ``x`` has no reducer and neither has
+    ``x^-1``, or ``x`` has one and ``x^-1`` is never reached. The first
+    reducer therefore always has a positive multiplier.
+
+    For each multiplier, in table order, the reducer with the least mask
+    is the first table entry that shortens the word. Up to
+    ``_SCAN_ONLY_MASKS`` masks (a support of at most four generators) the
+    mask scan finds it or shows there is none, at less cost than a max
+    flow. Above that, a max flow from ``a`` to ``a^-1`` that reaches
+    ``deg(a)`` skips the multiplier, as then every cut, so every
+    ``cap(A)``, is at least ``deg(a)``. Otherwise the first
+    ``_SCAN_MASKS`` masks are scanned, and past them
+    :func:`_smallest_reducing_set` fixes the mask by max flows. The scan
+    goes in mask order and the flows give the least reducing mask, so the
+    two bounds change what a step costs, never which step it is. A step
+    runs at most one flow per support generator, plus ``2s - 2`` when the
+    flows fix the mask, and scans at most 1,024 masks per multiplier.
     """
     vertices, adj = _whitehead_graph(letters)
     degree = [sum(row) for row in adj]
-    # Odd vertices are the inverses x^-1; their flow test repeats x's.
+    scan_only = 1 << (len(vertices) - 2) <= _SCAN_ONLY_MASKS
+    # Odd vertices are the inverses x^-1; their answer repeats x's.
     for a in range(0, len(vertices), 2):
-        # Every support letter has positive degree. A max flow of deg(a)
-        # from a to a^-1 means every cut, so every cap(A), is at least deg(a).
-        if _flow_reaches(adj, a, a ^ 1, degree[a]):
+        if scan_only:
+            found = _first_reducing_set(adj, degree, a)
+        elif _flow_reaches(adj, a, a ^ 1, degree[a]):
+            continue
+        else:
+            found = (_first_reducing_set(adj, degree, a, _SCAN_MASKS)
+                     or _smallest_reducing_set(adj, degree, a))
+        if found is None:
             continue
         multiplier = vertices[a]
-        found = _first_reducing_set(adj, degree, a)
-        if found is None:
-            raise RuntimeError(f"no reducing set for multiplier {format_letter(multiplier)}"
-                               " though the min cut is below its degree")
         members, change = found
         members = frozenset([multiplier, *(vertices[v] for v in members)])
         return _second_auto(rank, multiplier, members), len(letters) + change
@@ -435,6 +509,10 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
     raised if the image's length is not the predicted one. No Whitehead
     table is built.
 
+    The Whitehead graph does not change under rotation, so each image is
+    kept as its cyclic reduction, in no particular rotation, and only the
+    last is rotated into canonical form, once, when a step was applied.
+
     ``_checked`` is for :func:`is_primitive`, which has checked the rank
     and the word's support already.
     """
@@ -442,18 +520,21 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
         check_rank(rank)
         _check_support(word.letters, rank)
     current = word if isinstance(word, CyclicWord) else word.cyclic()
+    letters = current.letters
     certificate = []
-    while len(current) > 1:
-        step = _reducing_step(current.letters, rank)
+    while len(letters) > 1:
+        step = _reducing_step(letters, rank)
         if step is None:
             break
         auto, predicted = step
-        image = cyclic_reduce(apply_images(current.letters, auto.images))
+        image = cyclic_reduce(apply_images(letters, auto.images))
         if len(image) != predicted:
             raise RuntimeError(f"{auto.describe()} gave length {len(image)}, "
                                f"predicted {predicted}")
         certificate.append(auto)
-        current = CyclicWord._from_canonical(least_rotation(image))
+        letters = image
+    if certificate:
+        current = CyclicWord._from_canonical(least_rotation(letters))
     return PrimitivityVerdict(
         primitive=len(current) == 1,
         certificate=tuple(certificate),

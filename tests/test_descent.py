@@ -7,6 +7,7 @@ objects in the certificate, on either kernel backend.
 """
 
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from disksurgery import (
     whitehead_minimize,
 )
 from disksurgery._kernels import pyops
+from disksurgery.cli import main
 from helpers import child_env, limit_memory, random_word, reference_minimize
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -112,11 +114,15 @@ def flows_per_step(monkeypatch):
 
 
 class TestFlowsPerStep:
-    """The flow test of a multiplier's inverse repeats its own, so a step
-    runs at most one max flow per generator of the word's support."""
+    """At a support of at most four generators the mask scan decides every
+    multiplier, and no max flow runs. Above that, the flow test of a
+    multiplier's inverse repeats its own, so a step runs at most one max
+    flow per support generator: up to a support of six the scan after the
+    flow covers every mask, and the flows that fix a mask never run."""
 
     def check(self, steps):
-        assert all(flows <= support for flows, support in steps), steps
+        assert all(flows == 0 if support <= 4 else flows <= support
+                   for flows, support in steps), steps
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -135,12 +141,71 @@ class TestFlowsPerStep:
         assert len(flows_per_step) > 100
 
     def test_golden_pair_outcomes(self, flows_per_step):
+        # Every outcome here has a support of at most three generators.
         for system in [builtin_scenario("fig1", g) for g in (3, 4, 5)] + \
                 [load_scenario(GOLDEN / "mixed_rank3.json")]:
             for outcome in all_surgeries(system):
                 whitehead_minimize(outcome.boundary_word, system.rank)
         self.check(flows_per_step)
-        assert any(flows > 1 for flows, _ in flows_per_step)
+        assert flows_per_step and all(flows == 0 for flows, _ in flows_per_step)
+
+    def test_supports_five_and_six(self, flows_per_step, rng):
+        for _ in range(40):
+            rank = rng.choice([5, 6])
+            whitehead_minimize(random_word(rng, rank, 24, min_len=12), rank)
+        self.check(flows_per_step)
+        assert any(flows > 1 for flows, support in flows_per_step if support in (5, 6))
+
+
+def wide_word(s):
+    """``x2 x1^-1 x3 x1^-1 ... xs x1^-1``, primitive, with a support of s
+    generators; from s = 7 on, some of its steps need the flows that fix
+    a mask."""
+    return " ".join(f"x{i} x1^-1" for i in range(2, s + 1))
+
+
+def assert_flows_choose_first_set(letters):
+    """Pins ``_smallest_reducing_set`` against the full mask scan for every
+    multiplier vertex whose max flow is below its degree, and the flow
+    test against the scan for the others. Returns the multipliers checked
+    by flows."""
+    vertices, adj = primitivity._whitehead_graph(letters)
+    degree = [sum(row) for row in adj]
+    checked = 0
+    for a in range(len(vertices)):
+        scanned = primitivity._first_reducing_set(adj, degree, a)
+        if primitivity._flow_reaches(adj, a, a ^ 1, degree[a]):
+            assert scanned is None, (letters, a)
+        else:
+            assert primitivity._smallest_reducing_set(adj, degree, a) == scanned, (letters, a)
+            checked += 1
+    return checked
+
+
+class TestSmallestReducingSet:
+    """The mask that max flows fix is the first one the mask scan finds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(nielsen_images())
+    def test_nielsen_images(self, case):
+        letters = case[0].cyclic().letters
+        if 2 <= len(letters) <= 60:
+            assert_flows_choose_first_set(letters)
+
+    def test_random_words(self, rng):
+        checked = 0
+        for support in range(2, 7):
+            for _ in range(60):
+                letters = random_word(rng, support, 24, min_len=2).cyclic().letters
+                if len(letters) >= 2:
+                    checked += assert_flows_choose_first_set(letters)
+        assert checked > 300
+
+    @pytest.mark.parametrize("s", range(3, 9))
+    def test_wide_words(self, s):
+        start = parse_word(wide_word(s), s).cyclic()
+        trail = primitivity.replay_certificate(start, whitehead_minimize(start, s).certificate)
+        assert sum(assert_flows_choose_first_set(w.letters) for w in trail if len(w) >= 2) > 0
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -250,3 +315,30 @@ def test_rank9_closure_without_a_table(tmp_path):
     assert lines[:2] == ["scenario: mixed_rank9.json", "rank: 9"]
     assert golden[:2] == ["scenario: mixed_rank3.json", "rank: 3"]
     assert lines[2:] == golden[2:]
+
+
+def test_wide_word_certificate(backend, capsys):
+    # Four of its 17 steps take the mask from the flows that fix it; the
+    # golden output is that of the full mask scan.
+    assert main(["primitive", "--rank", "10", wide_word(10)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "primitive_wide_rank10.txt").read_text()
+
+
+def limit_cpu_and_memory():
+    limit_memory()
+    resource.setrlimit(resource.RLIMIT_CPU, (10, 11))
+
+
+@pytest.mark.parametrize("s", [15, 40])
+def test_wide_support_answers_in_bounds(s):
+    # A scan of every mask walks up to 4**(s - 1) of them per step here,
+    # and runs out of memory at s = 15. The child gets 10 s of CPU time.
+    out = subprocess.run(
+        [sys.executable, "-m", "disksurgery.cli", "primitive", "--rank", str(s), wide_word(s)],
+        capture_output=True, text=True, env=child_env("pure"),
+        preexec_fn=limit_cpu_and_memory, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert "verdict: primitive" in lines
+    assert lines[-1].startswith(f"  step {2 * s - 3}: ")
