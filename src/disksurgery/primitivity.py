@@ -19,23 +19,11 @@ that shortens the word is its letter set with ``cap(A) < deg(a)`` and the
 least mask, so certificates are those of trying every entry in turn, but
 the step is built from its ``(a, A)`` alone. That mask is found in time
 polynomial in the word, never by walking the ``4**(s - 1)`` masks of a
-support of ``s`` generators:
-
-* at ``s <= 4`` (at most 64 masks) the masks are scanned in order;
-* above that, a multiplier is skipped when a max flow from ``a`` to
-  ``a^-1`` reaches ``deg(a)``, as then no ``A`` reduces; otherwise the
-  first 1,024 masks are scanned (every mask for ``s <= 6``), and past
-  them the mask's bits are fixed from the highest down by one max flow
-  each, with the vertices forced into ``A`` tied to ``a`` and those
-  forced out tied to ``a^-1``. Finding Whitehead reductions through cuts
-  of the Whitehead graph in polynomial time follows Gersten and Roig,
-  Ventura and Weil (*On the complexity of the Whitehead minimization
-  problem*, 2007).
-
-Both bounds only set what a step costs: scan and flows give the same
-least mask. The graph does not change under rotation, so the words
-between steps are kept cyclically reduced but unrotated, and only the
-last one is put in canonical form.
+support of ``s`` generators; :func:`_reducing_step` gives the rule, after
+Gersten and Roig, Ventura and Weil (*On the complexity of the Whitehead
+minimization problem*, 2007). The graph does not change under rotation,
+so the words between steps are kept cyclically reduced but unrotated,
+and only the last one is put in canonical form.
 
 Two independent routes are provided and cross-checked by the test suite:
 
@@ -415,7 +403,8 @@ def _smallest_reducing_set(adj, degree, a):
     ties exists exactly when the max flow stays below ``deg(a)``. The
     mask's bits are fixed from the highest down: a vertex is left out
     when some reducing set still exists without it, and put in otherwise.
-    That takes one flow per vertex other than ``a`` and ``a^-1``.
+    That takes one flow per vertex other than ``a`` and ``a^-1``. Returns
+    ``None`` if the set so fixed does not reduce, which the flows rule out.
     """
     limit, sink = degree[a], a ^ 1
     tied = [row[:] for row in adj]
@@ -434,13 +423,12 @@ def _smallest_reducing_set(adj, degree, a):
     members.reverse()
     inside = [a, *members]
     cap = sum(degree[u] for u in inside) - sum(adj[u][v] for u in inside for v in inside)
-    return members, cap - limit
+    return (members, cap - limit) if cap < limit else None
 
 
-# Bounds on a multiplier's letter-set masks, of which a support of s
-# generators has 4**(s - 1); _reducing_step says why neither changes a step.
-_SCAN_ONLY_MASKS = 1 << 6  # s <= 4: the scan alone, no max flow
-_SCAN_MASKS = 1 << 10  # scanned before flows fix the mask; every mask for s <= 6
+# Bounds on a multiplier's letter-set masks; see _reducing_step.
+_SCAN_ONLY_MASKS = 1 << 6
+_SCAN_MASKS = 1 << 10
 
 
 def _reducing_step(letters, rank):
@@ -459,32 +447,44 @@ def _reducing_step(letters, rank):
     reducer therefore always has a positive multiplier.
 
     For each multiplier, in table order, the reducer with the least mask
-    is the first table entry that shortens the word. Up to
-    ``_SCAN_ONLY_MASKS`` masks (a support of at most four generators) the
-    mask scan finds it or shows there is none, at less cost than a max
-    flow. Above that, a max flow from ``a`` to ``a^-1`` that reaches
-    ``deg(a)`` skips the multiplier, as then every cut, so every
-    ``cap(A)``, is at least ``deg(a)``. Otherwise the first
-    ``_SCAN_MASKS`` masks are scanned, and past them
-    :func:`_smallest_reducing_set` fixes the mask by max flows. The scan
-    goes in mask order and the flows give the least reducing mask, so the
-    two bounds change what a step costs, never which step it is. A step
-    runs at most one flow per support generator, plus ``2s - 2`` when the
-    flows fix the mask, and scans at most 1,024 masks per multiplier.
+    is the first table entry that shortens the word. A support of ``s``
+    generators gives each multiplier ``4**(s - 1)`` masks, and their
+    number picks how that reducer is found:
+
+    * up to ``_SCAN_ONLY_MASKS`` (64, ``s <= 4``) the mask scan finds it
+      or shows there is none, at less cost than a max flow;
+    * above that, a max flow from ``a`` to ``a^-1`` that reaches
+      ``deg(a)`` skips the multiplier, as then every cut, so every
+      ``cap(A)``, is at least ``deg(a)``. Otherwise the first
+      ``_SCAN_MASKS`` (1,024) masks are scanned, which is every mask for
+      ``s <= 6``, and past them :func:`_smallest_reducing_set` fixes the
+      mask by ``2s - 2`` max flows. The scan comes first because low
+      masks often reduce: on ``x1 x2 ... x400`` it finds each step at
+      mask 2, where the flows alone would copy an 800 x 800 graph 798
+      times.
+
+    The scan goes in mask order and the flows give the least reducing
+    mask, so the two bounds change what a step costs, never which step it
+    is. ``RuntimeError`` is raised if a flow below ``deg(a)`` is followed
+    by no reducing set, as the two must agree. A step runs at most one
+    flow per support generator to rule multipliers out, and scans at most
+    1,024 masks per multiplier.
     """
     vertices, adj = _whitehead_graph(letters)
     degree = [sum(row) for row in adj]
-    scan_only = 1 << (len(vertices) - 2) <= _SCAN_ONLY_MASKS
+    masks = 1 << (len(vertices) - 2)
+    flows = masks > _SCAN_ONLY_MASKS
     # Odd vertices are the inverses x^-1; their answer repeats x's.
     for a in range(0, len(vertices), 2):
-        if scan_only:
-            found = _first_reducing_set(adj, degree, a)
-        elif _flow_reaches(adj, a, a ^ 1, degree[a]):
+        if flows and _flow_reaches(adj, a, a ^ 1, degree[a]):
             continue
-        else:
-            found = (_first_reducing_set(adj, degree, a, _SCAN_MASKS)
-                     or _smallest_reducing_set(adj, degree, a))
+        found = _first_reducing_set(adj, degree, a, _SCAN_MASKS)
+        if found is None and masks > _SCAN_MASKS:
+            found = _smallest_reducing_set(adj, degree, a)
         if found is None:
+            if flows:
+                raise RuntimeError(f"no reducing set for multiplier {format_letter(vertices[a])}"
+                                   " though the min cut is below its degree")
             continue
         multiplier = vertices[a]
         members, change = found

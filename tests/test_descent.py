@@ -208,6 +208,18 @@ class TestSmallestReducingSet:
         assert sum(assert_flows_choose_first_set(w.letters) for w in trail if len(w) >= 2) > 0
 
 
+@pytest.mark.parametrize("support", [5, 7])
+def test_flow_disagreeing_with_sets_raises(support, monkeypatch):
+    """A flow below deg(a) with no reducing set after it is an error, on
+    the scan path (support 5) and on the path that fixes a mask by flows
+    (support 7), not a skipped multiplier or a step that does not shorten."""
+    word = Word(tuple(g for i in range(1, support + 1) for g in (i, i)))
+    assert whitehead_minimize(word, support).certificate == ()
+    monkeypatch.setattr(primitivity, "_flow_reaches", lambda *args: False)
+    with pytest.raises(RuntimeError, match="no reducing set for multiplier x1"):
+        whitehead_minimize(word, support)
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_length_formula(rank, rng):
     """n + cap(A) - deg(a) is the cyclic length of the image under every
