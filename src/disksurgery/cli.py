@@ -33,6 +33,8 @@ from .surgery import (
 from .words import (
     MAX_RANK,
     WordSyntaxError,
+    _TOKEN,
+    _index,
     format_word,
     parse_word,
     unoriented_cyclic_class,
@@ -46,11 +48,9 @@ EXIT_CAP = 5
 
 
 def _infer_rank(text: str) -> int:
-    indices = []
-    for token in text.split():
-        digits = token[1:].split("^")[0] if token.startswith("x") else ""
-        if digits.isdigit():
-            indices.append(int(digits))
+    """The largest index among the tokens that are letters, from 2 up to
+    ``MAX_RANK``; ``parse_word`` reports the other tokens."""
+    indices = [_index(m.group(1)) for m in map(_TOKEN.match, text.split()) if m is not None]
     return min(max([2] + indices), MAX_RANK)
 
 

@@ -25,6 +25,11 @@ minimization problem*, 2007). The graph does not change under rotation,
 so the words between steps are kept cyclically reduced but unrotated,
 and only the last one is put in canonical form.
 
+:class:`WhiteheadAuto` is the second kind only. The first kind, the
+signed permutations of the generators, keeps every cyclic length, so no
+descent step is one, and the oracle's closure is closed under it without
+applying it.
+
 Two independent routes are provided and cross-checked by the test suite:
 
 * :func:`is_primitive` — the descent, plus a rank-2 fast path
@@ -57,8 +62,6 @@ from .words import CyclicWord, Word, check_rank, format_letter
 __all__ = [
     "WhiteheadAuto",
     "OracleCapExceeded",
-    "enumerate_whitehead_autos",
-    "apply_auto",
     "apply_auto_cyclic",
     "whitehead_minimize",
     "is_primitive",
@@ -107,80 +110,51 @@ def _image_pair(x, a, state):
 
 
 class WhiteheadAuto:
-    """A Whitehead generator of Aut(F_rank).
+    """A second-kind Whitehead automorphism ``(A, a)`` of Aut(F_rank).
 
-    First kind: a signed permutation of the generators,
-    ``x_i -> x_{perm[i-1]} ** signs[i-1]``.
-
-    Second kind: a multiplier letter ``a`` and a letter set ``members``
-    with ``a`` in the set and ``a^-1`` outside it. A letter ``x`` (other
-    than ``a``, ``a^-1``) maps to ``x a`` if only ``x`` is a member, to
-    ``a^-1 x`` if only ``x^-1`` is, to ``a^-1 x a`` if both are, and is
-    fixed if neither is; ``a`` is fixed.
+    A multiplier letter ``a`` and a letter set ``members`` with ``a`` in
+    the set and ``a^-1`` outside it. A letter ``x`` (other than ``a``,
+    ``a^-1``) maps to ``x a`` if only ``x`` is a member, to ``a^-1 x`` if
+    only ``x^-1`` is, to ``a^-1 x a`` if both are, and is fixed if
+    neither is; ``a`` is fixed. Built by :meth:`second`.
 
     ``images`` is the image table both kernel backends read: one tuple of
     letters per letter slot, the image of ``x`` at ``letter_key(x)``.
     """
 
-    __slots__ = ("kind", "rank", "multiplier", "members", "perm", "signs", "images")
+    __slots__ = ("rank", "multiplier", "members", "images")
+    # Constants kept only because layerbench/worker.py records them with every certificate step.
+    kind = "second"
+    perm = signs = None
 
-    def __init__(self, kind, rank, multiplier=None, members=None, perm=None, signs=None):
+    def __init__(self, rank, multiplier, members):
         check_rank(rank)
-        self.kind = kind
+        # The kernels read `images`: a float or a bool would pass the checks below.
+        if not isinstance(members, frozenset):
+            raise ValueError("second kind needs a frozenset of letters")
+        _check_ints("multiplier", (multiplier,))
+        _check_ints("members", members)
+        if multiplier not in members or -multiplier in members:
+            raise ValueError("need multiplier in members and its inverse outside")
+        for a in members:
+            if abs(a) > rank or a == 0:
+                raise ValueError(f"letter {a} out of range for rank {rank}")
         self.rank = rank
         self.multiplier = multiplier
         self.members = members
-        self.perm = perm
-        self.signs = signs
-        # The kernels read `images`: a float or a bool would pass the checks below.
-        if kind == "second":
-            if not isinstance(members, frozenset):
-                raise ValueError("second kind needs a frozenset of letters")
-            _check_ints("multiplier", (multiplier,))
-            _check_ints("members", members)
-            if multiplier not in members or -multiplier in members:
-                raise ValueError("need multiplier in members and its inverse outside")
-            for a in members:
-                if abs(a) > rank or a == 0:
-                    raise ValueError(f"letter {a} out of range for rank {rank}")
-            self.images = self._second_images()
-        elif kind == "first":
-            _check_ints("perm", perm)
-            _check_ints("signs", signs)
-            if sorted(perm) != list(range(1, rank + 1)):
-                raise ValueError("perm must be a bijection of 1..rank")
-            if len(signs) != rank or any(s not in (1, -1) for s in signs):
-                raise ValueError("signs must be +1/-1 per generator")
-            self.images = self._first_images()
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-
-    def _second_images(self):
-        a, members = self.multiplier, self.members
         images = []
-        for x in range(1, self.rank + 1):
-            state = 0 if x == abs(a) else (x in members) + 2 * (-x in members)
-            images += _image_pair(x, a, state)
-        return tuple(images)
-
-    def _first_images(self):
-        images = []
-        for x in _letters_in_order(self.rank):
-            i = abs(x) - 1
-            target = self.perm[i] * self.signs[i]
-            images.append((target,) if x > 0 else (-target,))
-        return tuple(images)
+        for x in range(1, rank + 1):
+            state = 0 if x == abs(multiplier) else (x in members) + 2 * (-x in members)
+            images += _image_pair(x, multiplier, state)
+        self.images = tuple(images)
 
     @classmethod
     def second(cls, rank, multiplier, members):
-        return cls("second", rank, multiplier=multiplier, members=frozenset(members))
-
-    @classmethod
-    def first(cls, rank, perm, signs):
-        return cls("first", rank, perm=tuple(perm), signs=tuple(signs))
+        """The automorphism ``(members, multiplier)``; ``members`` is any iterable of letters."""
+        return cls(rank, multiplier, frozenset(members))
 
     def _ident(self):
-        return (self.kind, self.rank, self.multiplier, self.members, self.perm, self.signs)
+        return (self.rank, self.multiplier, self.members)
 
     def __eq__(self, other):
         return isinstance(other, WhiteheadAuto) and self._ident() == other._ident()
@@ -188,31 +162,10 @@ class WhiteheadAuto:
     def __hash__(self):
         return hash(self._ident())
 
-    def inverse(self) -> "WhiteheadAuto":
-        """The inverse automorphism; for the second kind it is again enumerated."""
-        if self.kind == "second":
-            a = self.multiplier
-            return WhiteheadAuto.second(
-                self.rank, -a, (self.members - {a}) | {-a}
-            )
-        inv_perm = [0] * self.rank
-        inv_signs = [1] * self.rank
-        for i in range(self.rank):
-            j = self.perm[i] - 1
-            inv_perm[j] = i + 1
-            inv_signs[j] = self.signs[i]
-        return WhiteheadAuto.first(self.rank, inv_perm, inv_signs)
-
     def describe(self) -> str:
-        if self.kind == "second":
-            shown = sorted(self.members, key=letter_key)
-            inner = ", ".join(format_letter(a) for a in shown)
-            return f"second(a={format_letter(self.multiplier)}, A={{{inner}}})"
-        moves = ", ".join(
-            f"x{i + 1}->{format_letter(self.perm[i] * self.signs[i])}"
-            for i in range(self.rank)
-        )
-        return f"first({moves})"
+        shown = sorted(self.members, key=letter_key)
+        inner = ", ".join(format_letter(a) for a in shown)
+        return f"second(a={format_letter(self.multiplier)}, A={{{inner}}})"
 
     def __repr__(self):
         return f"WhiteheadAuto[{self.describe()}]"
@@ -228,12 +181,13 @@ def _second_auto(rank, multiplier, members):
 
 @lru_cache(maxsize=None)
 def enumerate_whitehead_autos(rank: int) -> tuple[WhiteheadAuto, ...]:
-    """Deterministic enumeration of Whitehead automorphisms.
+    """Deterministic enumeration of the ``2*rank * 4**(rank - 1)``
+    second-kind automorphisms: every valid multiplier/letter-set pair,
+    including the identity-like ones with a singleton set.
 
-    All ``2*rank * 2**(2*rank - 2)`` second-kind automorphisms (every
-    valid multiplier/letter-set pair, including the identity-like ones
-    with a singleton set) followed by a first-kind generating set:
-    adjacent transpositions and single-generator sign flips.
+    No program path builds this table; the descent builds each step from
+    its ``(a, A)`` through the same cache, so a certificate step is the
+    very entry listed here.
     """
     check_rank(rank)
     autos = []
@@ -246,16 +200,6 @@ def enumerate_whitehead_autos(rank: int) -> tuple[WhiteheadAuto, ...]:
             low = mask & -mask
             sets.append(sets[mask ^ low] | {others[low.bit_length() - 1]})
         autos += (_second_auto(rank, a, members) for members in sets)
-    identity_perm = tuple(range(1, rank + 1))
-    plus = (1,) * rank
-    for i in range(1, rank):
-        perm = list(identity_perm)
-        perm[i - 1], perm[i] = perm[i], perm[i - 1]
-        autos.append(WhiteheadAuto.first(rank, perm, plus))
-    for i in range(1, rank + 1):
-        signs = [1] * rank
-        signs[i - 1] = -1
-        autos.append(WhiteheadAuto.first(rank, identity_perm, signs))
     return tuple(autos)
 
 
@@ -264,12 +208,6 @@ def _check_support(letters, rank: int):
         for a in letters:
             if abs(a) > rank:
                 raise ValueError(f"generator index {abs(a)} exceeds rank {rank}")
-
-
-def apply_auto(auto: WhiteheadAuto, word: Word) -> Word:
-    """Apply the automorphism letterwise and freely reduce."""
-    _check_support(word.letters, auto.rank)
-    return Word._from_valid(apply_images(word.letters, auto.images))
 
 
 def apply_auto_cyclic(auto: WhiteheadAuto, cyclic: CyclicWord) -> CyclicWord:

@@ -18,13 +18,14 @@ int), and :func:`parse_word` checks each token against the rank. Results
 built from checked letters trust them: :func:`parse_word`'s result,
 :func:`concat`, ``*``, :meth:`Word.inverse`, :meth:`Word.reduced`,
 :meth:`Word.cyclic`, :meth:`CyclicWord.inverse`,
-:func:`unoriented_cyclic_class`, and in ``primitivity`` ``apply_auto``,
+:func:`unoriented_cyclic_class`, and in ``primitivity``
 ``apply_auto_cyclic`` and the certificate replay, whose images were
 checked with their automorphism. They wrap results with the private
 ``Word._from_valid`` and ``CyclicWord._from_canonical``.
 
 Text syntax (CLI and scenario files): whitespace-separated tokens
-``x<k>`` and ``x<k>^-1``; the empty word is the single token ``1``.
+``x<k>`` and ``x<k>^-1``, where ``k`` is written in ASCII digits; the
+empty word is the single token ``1``.
 """
 
 from __future__ import annotations
@@ -194,7 +195,17 @@ class CyclicWord:
         return tuple(letter_key(a) for a in self.letters)
 
 
-_TOKEN = re.compile(r"^x(\d+)(\^-1)?$")
+_TOKEN = re.compile(r"^x([0-9]+)(\^-1)?$")
+# An index of more digits than MAX_RANK exceeds every rank; ``int`` refuses
+# strings of more than 4,300 digits, so such an index is never converted.
+_INDEX_DIGITS = len(str(MAX_RANK))
+
+
+def _index(digits: str) -> int:
+    """The generator index a token's ``digits`` name, or ``MAX_RANK + 1``
+    when it has more digits than ``MAX_RANK``."""
+    digits = digits.lstrip("0")
+    return int(digits or "0") if len(digits) <= _INDEX_DIGITS else MAX_RANK + 1
 
 
 def parse_word(text: str, rank: int) -> Word:
@@ -220,12 +231,12 @@ def parse_word(text: str, rank: int) -> Word:
             raise WordSyntaxError(
                 f"token {pos}: {tok!r} is not of the form 'x<k>' or 'x<k>^-1'"
             )
-        index = int(m.group(1))
+        index = _index(m.group(1))
         if index == 0:
             raise WordSyntaxError(f"token {pos}: generator index must be at least 1")
         if index > rank:
             raise WordSyntaxError(
-                f"token {pos}: generator index {index} exceeds rank {rank}"
+                f"token {pos}: generator index {m.group(1).lstrip('0')} exceeds rank {rank}"
             )
         letters.append(index if m.group(2) is None else -index)
     return Word._from_valid(tuple(letters))

@@ -1,16 +1,17 @@
 """Shared test data, the randomized disk-pair generator, and the
-reference surgery, Whitehead descent and orbit oracle."""
+reference surgery, Whitehead automorphisms, descent and orbit oracle."""
 
 import os
 import random
 import resource
 from pathlib import Path
+from types import SimpleNamespace
 
 import disksurgery
 from disksurgery import (
     CyclicWord, DiskPairSystem, Word, concat, outermost_choices, parse_word, primitivity,
 )
-from disksurgery.primitivity import PrimitivityVerdict
+from disksurgery.primitivity import PrimitivityVerdict, WhiteheadAuto
 from disksurgery.surgery import SurgeryOutcome
 
 # The directory holding the `disksurgery` package under test (`src/` in a
@@ -195,6 +196,47 @@ def reference_crossing_pairs(order, chords):
     return crossing
 
 
+def first_kind_auto(rank, perm, signs):
+    """The first-kind Whitehead automorphism ``x_i -> x_{perm[i-1]} ** signs[i-1]``,
+    a signed permutation of the generators. The package builds only the
+    second kind; this carries the same ``rank`` and ``images`` fields, so
+    ``apply_auto``, ``apply_auto_cyclic`` and the kernels take it alike."""
+    images = []
+    for i in range(rank):
+        target = perm[i] * signs[i]
+        images += [(target,), (-target,)]
+    return SimpleNamespace(rank=rank, perm=tuple(perm), signs=tuple(signs), images=tuple(images))
+
+
+def first_kind_generators(rank):
+    """The adjacent transpositions, then the single-generator sign flips,
+    which generate the signed permutations."""
+    identity = list(range(1, rank + 1))
+    generators = []
+    for i in range(1, rank):
+        perm = identity[:]
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+        generators.append(first_kind_auto(rank, perm, [1] * rank))
+    for i in range(rank):
+        signs = [1] * rank
+        signs[i] = -1
+        generators.append(first_kind_auto(rank, identity, signs))
+    return generators
+
+
+def apply_auto(auto, word):
+    """``auto`` applied to ``word`` letter by letter, freely reduced, as a
+    checked ``Word``. The kernel is looked up in ``primitivity`` at call
+    time, as in the references below."""
+    return Word(primitivity.apply_images(word.letters, auto.images))
+
+
+def inverse_auto(auto):
+    """The inverse of the second-kind ``(A, a)``, which is ``(A - {a} + {a^-1}, a^-1)``."""
+    a = auto.multiplier
+    return WhiteheadAuto.second(auto.rank, -a, (auto.members - {a}) | {-a})
+
+
 def reference_minimize(word, rank):
     """The first-improvement descent by rewriting: each step applies the
     table's entries in order until one shortens the cyclic word.
@@ -222,13 +264,14 @@ def reference_minimize(word, rank):
 
 
 def reference_oracle(rank, max_len):
-    """The orbit closure of ``x1`` under every entry of the table, words
-    longer than ``max_len`` discarded, each image made a ``CyclicWord``.
+    """The orbit closure of ``x1`` under every entry of the second-kind
+    table and the first-kind generators, words longer than ``max_len``
+    discarded, each image made a ``CyclicWord``.
 
     ``primitivity.oracle_primitives`` must return the same set. The
     kernel is looked up in ``primitivity`` at call time, as above.
     """
-    autos = primitivity.enumerate_whitehead_autos(rank)
+    autos = [*primitivity.enumerate_whitehead_autos(rank), *first_kind_generators(rank)]
     start = CyclicWord((1,))
     seen = {start}
     frontier = [start]

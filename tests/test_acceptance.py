@@ -12,10 +12,8 @@ import time
 from disksurgery import (
     CyclicWord,
     Word,
-    apply_auto,
     builtin_scenario,
     closure_report,
-    enumerate_whitehead_autos,
     is_primitive,
     oracle_primitives,
     outermost_choices,
@@ -25,7 +23,11 @@ from disksurgery import (
     unoriented_cyclic_class,
 )
 from disksurgery.cli import main
-from helpers import DISK_E_WORD, OUTCOME_LONG, OUTCOME_SHORT, random_system, random_word
+from disksurgery.primitivity import enumerate_whitehead_autos
+from helpers import (
+    DISK_E_WORD, OUTCOME_LONG, OUTCOME_SHORT, apply_auto, inverse_auto, random_system,
+    random_word,
+)
 
 
 def best_time(fn, repeats=3):
@@ -170,7 +172,7 @@ def test_criterion_8_algebra_suite():
     for _ in range(10_000):
         rank = rng.choice((2, 3))
         auto = rng.choice(autos_by_rank[rank])
-        inverse = auto.inverse()
+        inverse = inverse_auto(auto)
         for i in range(1, rank + 1):
             generator = Word((i,))
             assert apply_auto(inverse, apply_auto(auto, generator)) == generator

@@ -69,6 +69,49 @@ class TestReduce:
         assert err == f"error: token 2: generator index 3000000000 exceeds rank {MAX_RANK}\n"
 
 
+# Tokens that `\d` matched: Arabic-Indic one and superscript two.
+NON_ASCII_DIGITS = ["x\u0661", "x\u00b2"]
+# More digits than int() converts by default (4,300).
+LONG_INDEX = "9" * 5000
+
+
+class TestTokenDigits:
+    @pytest.mark.parametrize("token", NON_ASCII_DIGITS)
+    @pytest.mark.parametrize("rank", [[], ["--rank", "2"]], ids=["inferred", "given"])
+    def test_reduce_non_ascii_digit_usage_error(self, capsys, token, rank):
+        code, out, err = run(capsys, "reduce", *rank, f"{token} x2")
+        assert (code, out) == (2, "")
+        assert err == f"error: token 1: {token!r} is not of the form 'x<k>' or 'x<k>^-1'\n"
+
+    @pytest.mark.parametrize("token", NON_ASCII_DIGITS)
+    def test_primitive_non_ascii_digit_usage_error(self, capsys, token):
+        code, out, err = run(capsys, "primitive", "--rank", "2", f"{token} x2")
+        assert (code, out) == (2, "")
+        assert err == f"error: token 1: {token!r} is not of the form 'x<k>' or 'x<k>^-1'\n"
+
+    @pytest.mark.parametrize("command,rank", [
+        ("reduce", []), ("reduce", ["--rank", "2"]), ("primitive", ["--rank", "2"])])
+    def test_long_index_names_the_token(self, capsys, command, rank):
+        code, out, err = run(capsys, command, *rank, f"x1 x{LONG_INDEX}")
+        bound = rank[1] if rank else MAX_RANK
+        assert (code, out) == (2, "")
+        assert err == f"error: token 2: generator index {LONG_INDEX} exceeds rank {bound}\n"
+
+    @pytest.mark.parametrize("label,message", [
+        (NON_ASCII_DIGITS[0], f"{NON_ASCII_DIGITS[0]!r} is not of the form 'x<k>' or 'x<k>^-1'"),
+        (f"x{LONG_INDEX}", f"generator index {LONG_INDEX} exceeds rank 3"),
+    ], ids=["non-ascii", "long"])
+    @pytest.mark.parametrize("command", ["validate", "closure", "surgeries"])
+    def test_scenario_label_exit_four(self, capsys, tmp_path, label, message, command):
+        path = tmp_path / "label.json"
+        data = json.loads(dumps_scenario(builtin_scenario("fig1", 3)))
+        data["labels_d"][0] = label
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (4, "")
+        assert err == f"error: labels_d[0]: token 1: {message}\n"
+
+
 class TestPrimitive:
     def test_primitive_exit_zero(self, capsys):
         code, out, _ = run(capsys, "primitive", "--rank", "3", DISK_E_WORD)

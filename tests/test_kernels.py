@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from disksurgery._kernels import available_backends, load_backend
 from disksurgery.primitivity import enumerate_whitehead_autos
-from helpers import SOURCE_ROOT, child_env
+from helpers import SOURCE_ROOT, child_env, first_kind_generators
 
 pure = load_backend("pure")
 
@@ -78,7 +78,7 @@ class TestBackendsAgree:
 
     @given(letters, st.integers(min_value=0, max_value=200))
     def test_apply_images(self, compiled, seq, pick):
-        autos = enumerate_whitehead_autos(4)
+        autos = [*enumerate_whitehead_autos(4), *first_kind_generators(4)]
         images = autos[pick % len(autos)].images
         assert compiled.apply_images(seq, images) == pure.apply_images(seq, images)
         assert compiled.apply_images_canonical(seq, images) == \
@@ -114,7 +114,7 @@ class TestMaxLen:
 
     @given(letters, st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=40))
     def test_whitehead_tables(self, compiled, seq, pick, max_len):
-        autos = enumerate_whitehead_autos(4)
+        autos = [*enumerate_whitehead_autos(4), *first_kind_generators(4)]
         auto = autos[pick % len(autos)]
         args = (seq, auto.images, max_len)
         assert compiled.apply_images_canonical(*args) == pure.apply_images_canonical(*args)

@@ -16,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 from disksurgery import (
     WhiteheadAuto,
     apply_auto_cyclic,
-    enumerate_whitehead_autos,
     oracle_primitives,
     primitivity,
 )
-from disksurgery.primitivity import OracleCapExceeded
-from helpers import child_env, limit_memory, random_word, reference_oracle
+from disksurgery.primitivity import OracleCapExceeded, enumerate_whitehead_autos
+from helpers import (
+    child_env, first_kind_generators, limit_memory, random_word, reference_oracle,
+)
 
 PINNED = ([(2, n) for n in range(1, 17)] + [(3, n) for n in range(1, 7)]
           + [(4, n) for n in range(1, 4)])
@@ -43,8 +44,6 @@ def test_skipped_entries_act_as_kept_ones(rank, rng):
     letters = frozenset(range(-rank, rank + 1)) - {0}
     cyclics = [random_word(rng, rank, 14).cyclic() for _ in range(20)]
     for auto in enumerate_whitehead_autos(rank):
-        if auto.kind != "second":
-            continue
         partner = WhiteheadAuto.second(rank, -auto.multiplier, letters - auto.members)
         fixes = len(auto.members) in (1, 2 * rank - 1)
         for cyclic in cyclics:
@@ -83,8 +82,8 @@ def test_work_is_expanded_words_times_generators(rank, max_len, monkeypatch):
 def test_generator_tables_are_the_kept_entries(rank):
     tables = list(primitivity._second_kind_images(rank))
     assert len(tables) == rank * (4 ** (rank - 1) - 2)
-    kept = [auto.images for auto in enumerate_whitehead_autos(rank) if auto.kind == "second"
-            and auto.multiplier > 0 and 1 < len(auto.members) < 2 * rank - 1]
+    kept = [auto.images for auto in enumerate_whitehead_autos(rank)
+            if auto.multiplier > 0 and 1 < len(auto.members) < 2 * rank - 1]
     assert sorted(tables) == sorted(kept)
 
 
@@ -98,9 +97,8 @@ def test_closed_under_first_kind_and_inversion(case):
     rank, max_len = case
     closure = oracle_primitives(rank, max_len)
     assert all(cyclic.inverse() in closure for cyclic in closure)
-    for auto in enumerate_whitehead_autos(rank):
-        if auto.kind == "first":
-            assert all(apply_auto_cyclic(auto, cyclic) in closure for cyclic in closure), auto
+    for auto in first_kind_generators(rank):
+        assert all(apply_auto_cyclic(auto, cyclic) in closure for cyclic in closure), auto
 
 
 BAD_SIZES = [("max_len", value) for value in (1.0, 2.5, True, "3")] + \

@@ -9,9 +9,7 @@ from disksurgery import (
     Word,
     WhiteheadAuto,
     abelianize,
-    apply_auto,
     apply_auto_cyclic,
-    enumerate_whitehead_autos,
     is_primitive,
     oracle_primitives,
     oz_rank2_nonprimitive,
@@ -20,16 +18,11 @@ from disksurgery import (
     whitehead_minimize,
 )
 from disksurgery import primitivity
-from disksurgery.primitivity import OracleCapExceeded
-from helpers import DISK_E_WORD, OUTCOME_LONG, OUTCOME_SHORT, random_word
-
-
-def second_kind(autos):
-    return [a for a in autos if a.kind == "second"]
-
-
-def first_kind(autos):
-    return [a for a in autos if a.kind == "first"]
+from disksurgery.primitivity import OracleCapExceeded, enumerate_whitehead_autos
+from helpers import (
+    DISK_E_WORD, OUTCOME_LONG, OUTCOME_SHORT, apply_auto, first_kind_auto, first_kind_generators,
+    inverse_auto, random_word,
+)
 
 
 def all_cyclic_words(rank, max_len):
@@ -43,18 +36,20 @@ def all_cyclic_words(rank, max_len):
 
 class TestEnumeration:
     def test_second_kind_count_rank2(self):
-        assert len(second_kind(enumerate_whitehead_autos(2))) == 16
+        assert len(enumerate_whitehead_autos(2)) == 16
 
     def test_second_kind_count_rank3(self):
-        assert len(second_kind(enumerate_whitehead_autos(3))) == 96
+        assert len(enumerate_whitehead_autos(3)) == 96
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     def test_second_kind_count_formula(self, rank):
         expected = 2 * rank * 2 ** (2 * rank - 2)
-        assert len(second_kind(enumerate_whitehead_autos(rank))) == expected
+        autos = enumerate_whitehead_autos(rank)
+        assert len(autos) == expected
+        assert all(auto.kind == "second" and auto.perm is auto.signs is None for auto in autos)
 
     def test_first_kind_generators_rank2(self):
-        firsts = first_kind(enumerate_whitehead_autos(2))
+        firsts = first_kind_generators(2)
         assert len(firsts) == 3  # one transposition, two sign flips
 
     def test_duplicate_free(self):
@@ -80,10 +75,6 @@ class TestEnumeration:
         (lambda: WhiteheadAuto.second(2, True, {1}), "multiplier"),
         (lambda: WhiteheadAuto.second(2, 1, {1, 2.0}), "members"),
         (lambda: WhiteheadAuto.second(2, 2, {2, True}), "members"),
-        (lambda: WhiteheadAuto.first(2, (1.0, 2), (1, 1)), "perm"),
-        (lambda: WhiteheadAuto.first(2, (True, 2), (1, 1)), "perm"),
-        (lambda: WhiteheadAuto.first(2, (1, 2), (1.0, 1)), "signs"),
-        (lambda: WhiteheadAuto.first(2, (1, 2), (1, True)), "signs"),
     ])
     def test_letters_that_are_not_ints_rejected(self, build, field):
         with pytest.raises(ValueError, match=f"{field} entries must be ints"):
@@ -93,12 +84,12 @@ class TestEnumeration:
 class TestApplyAuto:
     def test_singleton_set_acts_trivially(self):
         w = parse_word("x1 x1^-1 x2", 2)
-        for auto in second_kind(enumerate_whitehead_autos(2)):
+        for auto in enumerate_whitehead_autos(2):
             if auto.members == frozenset({auto.multiplier}):
                 assert apply_auto(auto, w) == w.reduced()
 
     def test_sign_flip(self):
-        flip = WhiteheadAuto.first(2, (1, 2), (-1, 1))
+        flip = first_kind_auto(2, (1, 2), (-1, 1))
         assert apply_auto(flip, parse_word("x1 x2", 2)) == parse_word("x1^-1 x2", 2)
 
     def test_some_auto_shortens_x1x2(self):
@@ -109,7 +100,7 @@ class TestApplyAuto:
     def test_rank_mismatch(self):
         auto = enumerate_whitehead_autos(2)[0]
         with pytest.raises(ValueError, match="exceeds rank"):
-            apply_auto(auto, Word((3,)))
+            apply_auto_cyclic(auto, CyclicWord((3,)))
 
     @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=16),
            st.lists(st.sampled_from([1, -1, 2, -2]), max_size=16))
@@ -119,15 +110,14 @@ class TestApplyAuto:
             assert apply_auto(auto, u * v) == (apply_auto(auto, u) * apply_auto(auto, v)).reduced()
 
     def test_every_second_kind_inverse_is_enumerated(self):
-        autos = enumerate_whitehead_autos(2)
-        seconds = set(second_kind(autos))
-        for auto in seconds:
-            assert auto.inverse() in seconds
+        autos = set(enumerate_whitehead_autos(2))
+        for auto in autos:
+            assert inverse_auto(auto) in autos
 
     @pytest.mark.parametrize("rank", [2, 3])
     def test_inverse_composition_is_identity_on_basis(self, rank):
         for auto in enumerate_whitehead_autos(rank):
-            inverse = auto.inverse()
+            inverse = inverse_auto(auto)
             for i in range(1, rank + 1):
                 for gen in (Word((i,)), Word((-i,))):
                     assert apply_auto(inverse, apply_auto(auto, gen)) == gen

@@ -90,6 +90,13 @@ class TestSchemaErrors:
         with pytest.raises(ScenarioFormatError, match=r"^labels_d\[2\]"):
             loads_scenario(json.dumps(data))
 
+    @pytest.mark.parametrize("label", ["x\u0661", "x" + "9" * 5000], ids=["non-ascii", "long"])
+    def test_bad_index_digits_name_field_path(self, label):
+        data = json.loads(dumps_scenario(builtin_scenario("fig1", 3)))
+        data["labels_e"][1] = label
+        with pytest.raises(ScenarioFormatError, match=r"^labels_e\[1\]: token 1: "):
+            loads_scenario(json.dumps(data))
+
     def test_bad_chord_arity(self):
         data = json.loads(dumps_scenario(builtin_scenario("fig1", 3)))
         data["chords"][0] = ["p1"]
