@@ -131,6 +131,14 @@ def limit_memory(limit=MEMORY_LIMIT):
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def limit_cpu_and_memory(cpu_seconds=10):
+    """``preexec_fn`` for a child held to ``MEMORY_LIMIT`` and to
+    ``cpu_seconds`` of CPU time; ``functools.partial`` gives it another
+    time."""
+    limit_memory()
+    resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds + 1))
+
+
 def child_env(kernel):
     """Environment for a child interpreter that forces `kernel`.
 

@@ -7,7 +7,6 @@ objects in the certificate, on either kernel backend.
 """
 
 import json
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -27,7 +26,9 @@ from disksurgery import (
 from disksurgery._kernels import pyops
 from disksurgery.cli import main
 from disksurgery.primitivity import enumerate_whitehead_autos
-from helpers import child_env, limit_memory, random_word, reference_minimize
+from helpers import (
+    child_env, limit_cpu_and_memory, limit_memory, random_word, reference_minimize,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -334,11 +335,6 @@ def test_wide_word_certificate(backend, capsys):
     # golden output is that of the full mask scan.
     assert main(["primitive", "--rank", "10", wide_word(10)]) == 0
     assert capsys.readouterr().out == (GOLDEN / "primitive_wide_rank10.txt").read_text()
-
-
-def limit_cpu_and_memory():
-    limit_memory()
-    resource.setrlimit(resource.RLIMIT_CPU, (10, 11))
 
 
 @pytest.mark.parametrize("s", [15, 40])

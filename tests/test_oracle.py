@@ -1,14 +1,18 @@
 """The orbit oracle against the full-table closure it replaced.
 
 ``oracle_primitives`` closes the length-one classes under the
-second-kind generators built from ``(a, A)`` and never expands a word
-at the length bound; ``helpers.reference_oracle`` expands every word
-from ``x1`` under the whole table. They must return the same set on
-either kernel backend, and the cap must fire at the same closure size.
+second-kind generators built from ``(a, A)``, expands one word per
+signed-permutation orbit and never expands a word at the length bound;
+``helpers.reference_oracle`` expands every word from ``x1`` under the
+whole table. They must return the same set on either kernel backend,
+and the cap must fire at the same closure size.
 """
 
+import itertools
+import math
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,14 +25,15 @@ from disksurgery import (
 )
 from disksurgery.primitivity import OracleCapExceeded, enumerate_whitehead_autos
 from helpers import (
-    child_env, first_kind_generators, limit_memory, random_word, reference_oracle,
+    child_env, first_kind_auto, first_kind_generators, limit_cpu_and_memory, limit_memory,
+    random_word, reference_oracle,
 )
 
-PINNED = ([(2, n) for n in range(1, 17)] + [(3, n) for n in range(1, 7)]
-          + [(4, n) for n in range(1, 4)])
+PINNED = ([(2, n) for n in range(1, 17)] + [(2, 20)] + [(3, n) for n in range(1, 7)]
+          + [(4, n) for n in range(1, 4)] + [(5, 2)])
 
-# Generators applied per word shorter than max_len: the second-kind
-# (A, a) with a positive and 1 < |A| < 2 * rank - 1.
+# Generators applied per expanded word, one per orbit shorter than
+# max_len: the second-kind (A, a) with a positive and 1 < |A| < 2 * rank - 1.
 GENERATORS = {2: 4, 3: 42}
 
 
@@ -61,21 +66,80 @@ def test_cap_fires_exactly_above_closure_size(rank, max_len):
         oracle_primitives(rank, max_len, node_cap=size - 1)
 
 
+def orbit_representatives(words, rank):
+    """One word per orbit of the signed permutations on ``words``, a set
+    closed under them, found with the helper's generators."""
+    generators = first_kind_generators(rank)
+    left, representatives = set(words), []
+    while left:
+        stack = [left.pop()]
+        representatives.append(stack[0])
+        while stack:
+            cyclic = stack.pop()
+            for auto in generators:
+                image = apply_auto_cyclic(auto, cyclic)
+                if image in left:
+                    left.remove(image)
+                    stack.append(image)
+    return representatives
+
+
 @pytest.mark.parametrize("rank,max_len", [(2, 12), (3, 4), (3, 1)])
 def test_work_is_expanded_words_times_generators(rank, max_len, monkeypatch):
-    # A return to the whole table, or to expanding words at the bound,
-    # fails here, not only in timings.
+    # One word per signed-permutation orbit is expanded. A return to
+    # expanding every word, to the whole table, or to expanding words at
+    # the bound fails here, not only in timings.
+    generators = set(primitivity._second_kind_images(rank))
     calls = []
     kernel = primitivity.apply_images_canonical
 
-    def counted(*args):
-        calls.append(None)
-        return kernel(*args)
+    def counted(letters, images, *rest):
+        calls.append(images in generators)
+        return kernel(letters, images, *rest)
 
     monkeypatch.setattr(primitivity, "apply_images_canonical", counted)
     closure = oracle_primitives(rank, max_len)
-    expanded = sum(len(cyclic) < max_len for cyclic in closure)
-    assert len(calls) == expanded * GENERATORS[rank]
+    monkeypatch.undo()
+    representatives = orbit_representatives(closure, rank)
+    expanded = sum(len(cyclic) < max_len for cyclic in representatives)
+    assert sum(calls) == expanded * GENERATORS[rank]
+    # Each orbit but the seeds' is relabelled once, by one call per
+    # injective signed map of its support.
+    supports = [len({abs(x) for x in cyclic.letters})
+                for cyclic in representatives if len(cyclic) > 1]
+    assert len(calls) - sum(calls) == sum(math.perm(rank, s) << s for s in supports)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_relabellings_are_the_signed_maps_of_a_support(rank):
+    # Each table is the first 2 * size slots of a signed permutation's
+    # table, every signed permutation gives one, and none repeats.
+    whole = {first_kind_auto(rank, perm, signs).images
+             for perm in itertools.permutations(range(1, rank + 1))
+             for signs in itertools.product((1, -1), repeat=rank)}
+    for size in range(1, rank + 1):
+        tables = list(primitivity._relabellings(rank, size))
+        assert len(tables) == math.perm(rank, size) << size
+        assert set(tables) == {images[:2 * size] for images in whole}
+
+
+def test_cap_fires_inside_an_orbit(monkeypatch):
+    # The first new orbit at rank 8 is that of x1 x2: 112 words from 224
+    # maps. With 16 seeds and a cap of 100, the check must fire partway
+    # through it, not after it.
+    relabellings = []
+    kernel = primitivity.apply_images_canonical
+
+    def counted(letters, images, *rest):
+        if len(images) < 16:
+            relabellings.append(images)
+        return kernel(letters, images, *rest)
+
+    monkeypatch.setattr(primitivity, "apply_images_canonical", counted)
+    with pytest.raises(OracleCapExceeded, match="exceeded 100 canonical words"):
+        oracle_primitives(8, 2, node_cap=100)
+    assert {len(images) for images in relabellings} == {4}
+    assert 85 <= len(relabellings) < math.perm(8, 2) << 2
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -136,6 +200,31 @@ def test_rank7_closure_without_a_table():
     words = lines[:-2]
     assert len(words) == 98
     assert {len(w.split()) for w in words} == {1, 2}
+
+
+def run_rank8_oracle(**env):
+    return subprocess.run(
+        [sys.executable, "-m", "disksurgery.cli", "oracle", "--rank", "8", "--max-len", "2"],
+        capture_output=True, text=True, env={**child_env("pure"), **env},
+        preexec_fn=partial(limit_cpu_and_memory, 5), timeout=60,
+    )
+
+
+def test_rank8_closure_in_bounds():
+    # Expanding every word of the 112-word orbit of x1 x2 under its 131,056
+    # generators took 4-6 s of CPU; one word per orbit takes about 0.4 s.
+    out = run_rank8_oracle()
+    assert out.returncode == 0, out.stderr
+    words = out.stdout.splitlines()
+    assert len(words) == 128
+    assert {len(w.split()) for w in words} == {1, 2}
+
+
+def test_rank8_cap_exits_5():
+    out = run_rank8_oracle(DISKSURGERY_ORACLE_CAP="100")
+    assert out.returncode == 5, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == "error: oracle closure exceeded 100 canonical words (rank 8, max_len 2)\n"
 
 
 @pytest.mark.parametrize("node_cap", [0, -3])
