@@ -37,17 +37,21 @@ Two independent routes are provided and cross-checked by the test suite:
   primitive.
 * :func:`oracle_primitives` — breadth-first closure of the orbit of
   ``x1``, restricted to a length bound, under the second-kind ``(A, a)``
-  with ``a`` positive and ``1 < |A| < 2*rank - 1`` (4 generators at
-  rank 2, 42 at rank 3), built from ``(a, A)`` without the table. The
-  closure is kept as whole orbits of the signed permutations: one word
-  per orbit is expanded, and each new orbit is added whole, by
-  relabelling its word through the same kernel. Words at the bound are
-  kept but never expanded. Whitehead's theorem makes the closure
-  complete within the bound: every primitive word longer than one
-  letter is shortened by a second-kind generator whose inverse acts on
-  cyclic words as a kept one, so membership is ground truth for short
-  words. The full argument, and why one word per orbit suffices, is in
-  the function's docstring, with the sizes it reaches.
+  with ``a`` positive, built from ``(a, A)`` without the table. The
+  closure is kept as whole orbits of the signed permutations: each new
+  orbit is added whole, by relabelling its word through the same
+  kernel, and one word per orbit is expanded, renamed onto ``x1..x_s``
+  for a support of ``s`` generators. It is expanded only under the
+  generators of rank ``n = min(s + 1, rank)``, those with
+  ``1 < |A| < 2*n - 1``: 4 for one support generator and 42 for two,
+  whatever the rank. Words at the bound are kept but never expanded.
+  Whitehead's theorem makes the closure complete within the bound:
+  every primitive word longer than one letter is shortened by a
+  second-kind generator whose inverse acts on cyclic words as a kept
+  one, so membership is ground truth for short words. The full
+  argument, and why one word per orbit and the generators of its
+  support suffice, is in the function's docstring, with the sizes it
+  reaches.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from itertools import chain, islice, permutations, product
 
 from ._kernels import (apply_images, apply_images_canonical, cyclic_reduce, least_rotation,
                        letter_key)
-from .words import CyclicWord, Word, check_rank, format_letter
+from .words import CyclicWord, Word, check_rank, check_support, format_letter
 
 __all__ = [
     "WhiteheadAuto",
@@ -83,14 +87,6 @@ class OracleCapExceeded(RuntimeError):
     def __init__(self, message: str, cap: int):
         super().__init__(message)
         self.cap = cap
-
-
-def _letters_in_order(rank: int) -> list[int]:
-    out = []
-    for i in range(1, rank + 1):
-        out.append(i)
-        out.append(-i)
-    return out
 
 
 def _check_ints(name, values):
@@ -194,7 +190,7 @@ def enumerate_whitehead_autos(rank: int) -> tuple[WhiteheadAuto, ...]:
     """
     check_rank(rank)
     autos = []
-    letters = _letters_in_order(rank)
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
     for a in letters:
         others = [x for x in letters if abs(x) != abs(a)]
         # Bit j of a mask stands for others[j]; each set adds its lowest bit's letter.
@@ -206,16 +202,9 @@ def enumerate_whitehead_autos(rank: int) -> tuple[WhiteheadAuto, ...]:
     return tuple(autos)
 
 
-def _check_support(letters, rank: int):
-    if letters and (max(letters) > rank or min(letters) < -rank):
-        for a in letters:
-            if abs(a) > rank:
-                raise ValueError(f"generator index {abs(a)} exceeds rank {rank}")
-
-
 def apply_auto_cyclic(auto: WhiteheadAuto, cyclic: CyclicWord) -> CyclicWord:
     """Induced action on conjugacy classes (canonical cyclic output)."""
-    _check_support(cyclic.letters, auto.rank)
+    check_support(cyclic.letters, auto.rank)
     return CyclicWord._from_canonical(apply_images_canonical(cyclic.letters, auto.images))
 
 
@@ -459,7 +448,7 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
     """
     if not _checked:
         check_rank(rank)
-        _check_support(word.letters, rank)
+        check_support(word.letters, rank)
     current = word if isinstance(word, CyclicWord) else word.cyclic()
     letters = current.letters
     certificate = []
@@ -506,7 +495,7 @@ def is_primitive(word: Word | CyclicWord, rank: int, *, use_oz: bool = True) -> 
     sound); ``use_oz=False`` forces the descent, with identical verdicts.
     """
     check_rank(rank)
-    _check_support(word.letters, rank)
+    check_support(word.letters, rank)
     cyclic = word if isinstance(word, CyclicWord) else word.cyclic()
     letters = cyclic.letters
     if use_oz and letters and max(letters) <= 2 and min(letters) >= -2:
@@ -556,10 +545,9 @@ def _relabellings(rank: int, size: int):
     one at a time: ``2**size * rank! / (rank - size)!`` tables of
     ``2*size`` slots, each image one letter.
     """
-    units = {x: (x,) for x in _letters_in_order(rank)}
     for targets in permutations(range(1, rank + 1), size):
         for letters in product(*((t, -t) for t in targets)):
-            yield tuple(chain.from_iterable((units[x], units[-x]) for x in letters))
+            yield tuple(chain.from_iterable(((x,), (-x,)) for x in letters))
 
 
 def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -> frozenset[CyclicWord]:
@@ -568,27 +556,29 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
     Breadth-first closure of the ``2*rank`` length-one classes
     ``x_i^{+-1}`` under the second-kind ``(A, a)`` with ``a`` positive and
     ``1 < |A| < 2*rank - 1`` and under the signed permutations of the
-    generators, keeping the words of length at most ``max_len``. That is
-    ``rank * (4**(rank - 1) - 2)`` second-kind generators: 4 at rank 2
-    and 42 at rank 3. Their image tables come from
-    :func:`_second_kind_images`, one table alive at a time, once per
-    breadth-first level; the Whitehead table is never built.
+    generators, keeping the words of length at most ``max_len``. The
+    Whitehead table is never built.
 
     The closure is kept as whole orbits of the signed permutations, and
     only one word per orbit is expanded:
 
-    * *Seeds.* The length-one classes are the orbit of ``x1``, and
-      ``x1`` alone is expanded.
     * *Relabelling.* When a second-kind image ``v`` within the bound is
-      new, its whole orbit is added, and ``v`` alone joins the next
-      level if it is shorter than ``max_len``. The orbit is found by the
-      same kernel: ``v``'s support of ``s`` generators is renamed onto
-      ``x1..x_s``, in order and with its signs, and each injective
+      new, its whole orbit is added, and one word of it joins the next
+      level if ``v`` is shorter than ``max_len``. The orbit is found by
+      the same kernel: ``v``'s support of ``s`` generators is renamed
+      onto ``x1..x_s``, in order and with its signs, and each injective
       signed map ``x1..x_s -> x1..x_rank`` is applied as a ``2*s``-slot
       image table (:func:`_relabellings`). There are
       ``2**s * rank! / (rank - s)!`` of them: 48 at rank 3 and ``s = 3``.
       The tables of a support size are kept for the call while there are
-      at most ``node_cap`` of them, and made one at a time otherwise.
+      at most ``node_cap`` of them, and made one at a time otherwise. The
+      seeds are the orbit of ``x1``, added the same way.
+    * *Expansion.* The renamed word is the one expanded, under the
+      ``n * (4**(n - 1) - 2)`` second-kind generators of rank
+      ``n = min(s + 1, rank)``: 4 for ``s = 1``, 42 for ``s = 2`` and 248
+      for ``s = 3``, whatever the rank. Their image tables come from
+      :func:`_second_kind_images`, one table alive at a time, once per
+      breadth-first level and support size.
 
     The closure is every primitive word within the bound:
 
@@ -612,6 +602,20 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
       the second kind alone, since ``s`` maps that closure to one with the
       same property. Inversion is left out of the group; it is sound
       too, but costs more than it saves.
+    * *Generators of the support.* Let ``u`` be an expanded word, whose
+      support is exactly ``x1..x_s``, and ``L_n`` the letters of
+      ``x1..x_n``. A kept ``(A, a)`` with ``a`` in the support acts on
+      ``u`` exactly as ``(A & L_n, a)``, as the letters outside ``L_n``
+      do not occur in ``u``. One with ``a`` outside the support, so
+      ``s < rank`` and ``n = s + 1``, is conjugated, by the transposition
+      ``a <-> x_(s+1)`` that fixes ``u``, into one with multiplier
+      ``x_(s+1)``: its image of ``u`` is a relabelling of an image under
+      a generator of rank ``n``, which the orbit step adds. The two
+      restrictions that :func:`_second_kind_images` skips,
+      ``|A & L_n|`` equal to 1 or ``2*n - 1``, act on ``u`` as the
+      identity or as a conjugation, as above. So the generators of rank
+      ``n`` give the images of ``u`` that those of the rank do, up to
+      relabelling.
     * *Words at the bound.* A primitive ``w`` with ``|w| > 1`` is not of
       minimal length in its orbit, so Whitehead's theorem gives a
       second-kind ``(A, a)`` that shortens it, with ``1 < |A| < 2*rank - 1``
@@ -629,11 +633,16 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
     becomes a :class:`CyclicWord` only at the end.
 
     Intended as an independent ground truth for :func:`is_primitive` at
-    small sizes. On the pure kernels (one core of a 2-core Xeon, Python
-    3.11) rank 3 at length 8, 32,338 words, takes about 0.25 s, rank 4 at
-    length 7, 125,504 words, about 1.4 s, rank 2 at length 60 about 0.1 s
-    and rank 8 at length 2 about 0.4 s; each second-kind generator costs
-    one kernel call per expanded word, so the work grows as ``4**rank``.
+    small sizes. Each expanded word costs one kernel call per generator
+    of its support's rank, and each new orbit one per relabelling. A
+    signed permutation that fixes a cyclic word is determined by the
+    rotation it induces, so an orbit has at least one word per
+    ``max_len`` relabellings, and for a given ``max_len`` the node cap
+    bounds the work at every rank. On the pure kernels (one core of a
+    2-core Xeon, Python 3.11) rank 3 at length 8, 32,338 words, takes
+    about 0.2 s, rank 4 at length 7, 125,504 words, about 0.75 s, rank 2
+    at length 60 about 0.1 s, rank 10 at length 3 about 0.03 s and rank
+    40 at length 3, 167,520 words, about 2.6 s.
     Raises :class:`OracleCapExceeded` as soon as more than ``node_cap``
     canonical words are retained (default ``DEFAULT_ORACLE_CAP``,
     overridable via the ``DISKSURGERY_ORACLE_CAP`` environment variable),
@@ -664,22 +673,29 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
             tables[size] = list(_relabellings(rank, size))
         return tables[size]
 
-    seen = {(x,) for x in _letters_in_order(rank)}
-    frontier = [(1,)] if max_len > 1 else []
-    while frontier:
-        level = []
-        for images in _second_kind_images(rank):
-            for letters in frontier:
-                image = canonical(letters, images, max_len)
-                if image is not None and image not in seen:
-                    index = {g: i for i, g in enumerate(sorted({abs(x) for x in image}), 1)}
-                    renamed = tuple(index[x] if x > 0 else -index[-x] for x in image)
-                    for table in relabellings(len(index)):
-                        seen.add(canonical(renamed, table, max_len))
-                        if len(seen) > cap:
-                            raise OracleCapExceeded(message, cap)
-                    level.append(image)
-        frontier = [letters for letters in level if len(letters) < max_len]
+    seen, level = set(), {}
+
+    def add_orbit(image):
+        # The renamed form is also the word the next level expands, under
+        # the generators of rank min(s + 1, rank) for a support of s.
+        index = {g: i for i, g in enumerate(sorted({abs(x) for x in image}), 1)}
+        renamed = tuple(index[x] if x > 0 else -index[-x] for x in image)
+        for table in relabellings(len(index)):
+            seen.add(canonical(renamed, table, max_len))
+            if len(seen) > cap:
+                raise OracleCapExceeded(message, cap)
+        if len(renamed) < max_len:
+            level.setdefault(min(len(index) + 1, rank), []).append(renamed)
+
+    add_orbit((1,))
+    while level:
+        frontier, level = level, {}
+        for n, words in frontier.items():
+            for images in _second_kind_images(n):
+                for letters in words:
+                    image = canonical(letters, images, max_len)
+                    if image is not None and image not in seen:
+                        add_orbit(image)
     return frozenset(CyclicWord._from_canonical(letters) for letters in seen)
 
 

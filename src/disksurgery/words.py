@@ -64,12 +64,13 @@ def check_rank(rank: int) -> int:
     return rank
 
 
-def check_letter(letter: int, rank: int) -> int:
-    if not isinstance(letter, int) or letter == 0:
-        raise ValueError(f"letters are nonzero ints, got {letter!r}")
-    if abs(letter) > rank:
-        raise ValueError(f"generator index {abs(letter)} exceeds rank {rank}")
-    return letter
+def check_support(letters, rank: int):
+    """Raise ``ValueError`` naming the first of ``letters`` whose generator
+    index exceeds ``rank``; a ``max``/``min`` pre-scan passes the rest."""
+    if letters and (max(letters) > rank or min(letters) < -rank):
+        for a in letters:
+            if abs(a) > rank:
+                raise ValueError(f"generator index {abs(a)} exceeds rank {rank}")
 
 
 def format_letter(letter: int) -> str:
@@ -281,9 +282,9 @@ def concat(*words: Word) -> Word:
 def abelianize(word: Word | CyclicWord, rank: int) -> tuple[int, ...]:
     """Exponent-sum vector of length ``rank``; a conjugacy invariant."""
     check_rank(rank)
+    check_support(word.letters, rank)
     sums = [0] * rank
     for a in word.letters:
-        check_letter(a, rank)
         sums[abs(a) - 1] += 1 if a > 0 else -1
     return tuple(sums)
 

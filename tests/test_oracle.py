@@ -32,9 +32,11 @@ from helpers import (
 PINNED = ([(2, n) for n in range(1, 17)] + [(2, 20)] + [(3, n) for n in range(1, 7)]
           + [(4, n) for n in range(1, 4)] + [(5, 2)])
 
-# Generators applied per expanded word, one per orbit shorter than
-# max_len: the second-kind (A, a) with a positive and 1 < |A| < 2 * rank - 1.
-GENERATORS = {2: 4, 3: 42}
+
+def is_relabelling(images):
+    # Relabelling tables map each letter slot to one letter; every kept
+    # second-kind table has an image of two letters or more.
+    return all(len(image) == 1 for image in images)
 
 
 @pytest.mark.parametrize("rank,max_len", PINNED)
@@ -84,30 +86,30 @@ def orbit_representatives(words, rank):
     return representatives
 
 
-@pytest.mark.parametrize("rank,max_len", [(2, 12), (3, 4), (3, 1)])
+@pytest.mark.parametrize("rank,max_len", [(2, 12), (3, 4), (3, 1), (5, 3)])
 def test_work_is_expanded_words_times_generators(rank, max_len, monkeypatch):
-    # One word per signed-permutation orbit is expanded. A return to
-    # expanding every word, to the whole table, or to expanding words at
-    # the bound fails here, not only in timings.
-    generators = set(primitivity._second_kind_images(rank))
+    # One word per signed-permutation orbit is expanded, under the
+    # n * (4**(n - 1) - 2) generators of rank n = min(s + 1, rank) for a
+    # support of s generators. A return to expanding every word, to the
+    # generators of the whole rank, or to expanding words at the bound
+    # fails here, not only in timings.
     calls = []
     kernel = primitivity.apply_images_canonical
 
     def counted(letters, images, *rest):
-        calls.append(images in generators)
+        calls.append(not is_relabelling(images))
         return kernel(letters, images, *rest)
 
     monkeypatch.setattr(primitivity, "apply_images_canonical", counted)
     closure = oracle_primitives(rank, max_len)
     monkeypatch.undo()
     representatives = orbit_representatives(closure, rank)
-    expanded = sum(len(cyclic) < max_len for cyclic in representatives)
-    assert sum(calls) == expanded * GENERATORS[rank]
-    # Each orbit but the seeds' is relabelled once, by one call per
+    supports = [(len(cyclic), len({abs(x) for x in cyclic.letters})) for cyclic in representatives]
+    ranks = [min(s + 1, rank) for length, s in supports if length < max_len]
+    assert sum(calls) == sum(n * (4 ** (n - 1) - 2) for n in ranks)
+    # Each orbit, the seeds' included, is added once, by one call per
     # injective signed map of its support.
-    supports = [len({abs(x) for x in cyclic.letters})
-                for cyclic in representatives if len(cyclic) > 1]
-    assert len(calls) - sum(calls) == sum(math.perm(rank, s) << s for s in supports)
+    assert len(calls) - sum(calls) == sum(math.perm(rank, s) << s for _, s in supports)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -131,15 +133,18 @@ def test_cap_fires_inside_an_orbit(monkeypatch):
     kernel = primitivity.apply_images_canonical
 
     def counted(letters, images, *rest):
-        if len(images) < 16:
-            relabellings.append(images)
+        if is_relabelling(images):
+            relabellings.append((letters, images))
         return kernel(letters, images, *rest)
 
     monkeypatch.setattr(primitivity, "apply_images_canonical", counted)
     with pytest.raises(OracleCapExceeded, match="exceeded 100 canonical words"):
         oracle_primitives(8, 2, node_cap=100)
-    assert {len(images) for images in relabellings} == {4}
-    assert 85 <= len(relabellings) < math.perm(8, 2) << 2
+    seeds = [images for letters, images in relabellings if letters == (1,)]
+    orbit = [images for letters, images in relabellings if letters != (1,)]
+    assert len(seeds) == 16
+    assert {len(images) for images in orbit} == {4}
+    assert 85 <= len(orbit) < math.perm(8, 2) << 2
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -202,9 +207,10 @@ def test_rank7_closure_without_a_table():
     assert {len(w.split()) for w in words} == {1, 2}
 
 
-def run_rank8_oracle(**env):
+def run_oracle(rank, max_len, **env):
     return subprocess.run(
-        [sys.executable, "-m", "disksurgery.cli", "oracle", "--rank", "8", "--max-len", "2"],
+        [sys.executable, "-m", "disksurgery.cli", "oracle", "--rank", str(rank),
+         "--max-len", str(max_len)],
         capture_output=True, text=True, env={**child_env("pure"), **env},
         preexec_fn=partial(limit_cpu_and_memory, 5), timeout=60,
     )
@@ -212,8 +218,9 @@ def run_rank8_oracle(**env):
 
 def test_rank8_closure_in_bounds():
     # Expanding every word of the 112-word orbit of x1 x2 under its 131,056
-    # generators took 4-6 s of CPU; one word per orbit takes about 0.4 s.
-    out = run_rank8_oracle()
+    # generators took 4-6 s of CPU; one word per orbit under the generators
+    # of its support takes about 0.2 s with start-up.
+    out = run_oracle(8, 2)
     assert out.returncode == 0, out.stderr
     words = out.stdout.splitlines()
     assert len(words) == 128
@@ -221,10 +228,37 @@ def test_rank8_closure_in_bounds():
 
 
 def test_rank8_cap_exits_5():
-    out = run_rank8_oracle(DISKSURGERY_ORACLE_CAP="100")
+    out = run_oracle(8, 2, DISKSURGERY_ORACLE_CAP="100")
     assert out.returncode == 5, out.stderr
     assert out.stdout == ""
     assert out.stderr == "error: oracle closure exceeded 100 canonical words (rank 8, max_len 2)\n"
+
+
+@pytest.mark.parametrize("rank", range(2, 13))
+def test_length_two_closure_size(rank):
+    # The 2r classes x_i^+-1 and the 2r(r - 1) classes x_i^+-1 x_j^+-1
+    # with i != j.
+    assert len(oracle_primitives(rank, 2)) == 2 * rank * rank
+
+
+@pytest.mark.parametrize("rank", [12, 33])
+def test_high_rank_closure_in_bounds(rank):
+    # Applying the rank * (4**(rank - 1) - 2) generators of the whole rank
+    # took over two minutes of CPU at rank 12, and from rank 33 on failed
+    # building them; words of one letter need the 4 generators of rank 2.
+    out = run_oracle(rank, 2)
+    assert out.returncode == 0, out.stderr
+    assert len(out.stdout.splitlines()) == 2 * rank * rank
+
+
+def test_largest_rank_exits_5():
+    # The 2 * rank seeds alone exceed the cap, which is checked before any
+    # is built.
+    out = run_oracle(2**31 - 1, 2)
+    assert out.returncode == 5, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == ("error: oracle closure exceeded 1000000 canonical words"
+                          " (rank 2147483647, max_len 2)\n")
 
 
 @pytest.mark.parametrize("node_cap", [0, -3])

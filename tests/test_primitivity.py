@@ -217,13 +217,13 @@ class TestIsPrimitive:
 
     def test_support_checked_once(self, monkeypatch):
         calls = []
-        original = primitivity._check_support
+        original = primitivity.check_support
 
         def counted(letters, rank):
             calls.append(None)
             return original(letters, rank)
 
-        monkeypatch.setattr(primitivity, "_check_support", counted)
+        monkeypatch.setattr(primitivity, "check_support", counted)
         verdict = is_primitive(parse_word("x1 x2 x3 x1 x2", 3), 3, use_oz=False)
         assert verdict.primitive and verdict.certificate
         assert len(calls) == 1
