@@ -191,10 +191,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; the parser is built on the first call and reused."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

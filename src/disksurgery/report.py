@@ -39,16 +39,19 @@ def run_report(system: DiskPairSystem, label: str = "scenario") -> dict:
     different theorem. Its entries are checked before any surgery runs.
 
     Each outcome's class is taken from the canonical cyclic form that
-    ``closure_report`` computed for its verdict.
+    ``closure_report`` computed for its verdict, once per distinct form.
     """
     expected = _expected_classes(system)
     closure = closure_report(system)
     outcomes = []
     deviations = []
+    classes = {}
     for direction in closure.directions:
         for (outcome, verdict), cyclic in zip(direction.entries, direction.cyclic_words):
             p, q = outcome.choice.chord
-            cyclic_class = unoriented_cyclic_class(cyclic)
+            cyclic_class = classes.get(cyclic.letters)
+            if cyclic_class is None:
+                cyclic_class = classes[cyclic.letters] = unoriented_cyclic_class(cyclic)
             outcomes.append({
                 "direction": direction.label,
                 "chord": [p, q],

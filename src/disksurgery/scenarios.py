@@ -62,12 +62,17 @@ def _string_list(data, path: str) -> tuple[str, ...]:
 
 
 def _word_list(data, path: str, rank: int) -> tuple[Word, ...]:
+    """Each distinct text is parsed once; an error names its first index."""
+    parsed = {}
     words = []
     for i, text in enumerate(_string_list(data, path)):
-        try:
-            words.append(parse_word(text, rank))
-        except WordSyntaxError as exc:
-            _fail(f"{path}[{i}]", str(exc))
+        word = parsed.get(text)
+        if word is None:
+            try:
+                word = parsed[text] = parse_word(text, rank)
+            except WordSyntaxError as exc:
+                _fail(f"{path}[{i}]", str(exc))
+        words.append(word)
     return tuple(words)
 
 

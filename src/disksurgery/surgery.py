@@ -459,12 +459,17 @@ def closure_report(system: DiskPairSystem) -> ClosureReport:
     Weak closedness fails for the pair in a direction exactly when that
     direction's ``any_primitive`` is False. Each outcome word is put in
     canonical cyclic form once; the verdict and the report get that form.
+    Outcomes with the same canonical form share one verdict object.
     """
     entries = {surgered: [] for surgered in DISKS}
     cyclic_words = {surgered: [] for surgered in DISKS}
+    verdicts = {}
     for outcome in _outcomes(system):
         cyclic = outcome.boundary_word.cyclic()
-        entries[outcome.choice.target].append((outcome, is_primitive(cyclic, system.rank)))
+        verdict = verdicts.get(cyclic.letters)
+        if verdict is None:
+            verdict = verdicts[cyclic.letters] = is_primitive(cyclic, system.rank)
+        entries[outcome.choice.target].append((outcome, verdict))
         cyclic_words[outcome.choice.target].append(cyclic)
     reports = {}
     for surgered, pairs in entries.items():

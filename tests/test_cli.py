@@ -530,3 +530,33 @@ class TestReportRendering:
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys, )
         assert code == 2
+
+
+# One process runs these in turn on the parser that ``main`` builds once;
+# a flag or default left over from an earlier call would show here.
+REUSED_PARSER_CALLS = [
+    ("closure", "fig1", "--genus", "5"),
+    ("closure", "fig1"),
+    ("closure", "fig1", "--machine"),
+    ("closure",),
+    ("primitive", "--rank", "2", "--no-oz", OUTCOME_SHORT),
+    ("primitive", "--rank", "2", OUTCOME_SHORT),
+]
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys):
+    results = [run(capsys, *argv) for argv in REUSED_PARSER_CALLS]
+    for argv, (code, out, _) in zip(REUSED_PARSER_CALLS, results):
+        child = subprocess.run(
+            [sys.executable, "-m", "disksurgery.cli", *argv],
+            capture_output=True, text=True, env=child_env("pure"), timeout=60,
+        )
+        assert (code, out) == (child.returncode, child.stdout), argv
+    genus5, genus3, machine, usage, no_oz, oz = results
+    assert genus5[1].startswith("scenario: fig1 (genus 5)\nrank: 5\n")
+    assert genus3[1].startswith("scenario: fig1 (genus 3)\nrank: 3\n")
+    assert json.loads(machine[1])["scenario"] == "fig1 (genus 3)"
+    assert usage[:2] == (2, "")
+    assert usage[2].startswith("usage: disksurgery closure")
+    assert "oz fired: no" in no_oz[1]
+    assert "oz fired: yes" in oz[1]

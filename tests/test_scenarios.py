@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from disksurgery import (
     dumps_scenario,
     load_scenario,
     loads_scenario,
+    parse_word,
     save_scenario,
     validate_system,
 )
@@ -139,3 +141,31 @@ class TestBuiltin:
 
     def test_genus_recorded_in_meta(self):
         assert builtin_scenario("fig1", 5).meta["genus"] == 5
+
+
+def six_label_data():
+    """A valid three-chord pair as scenario JSON: six labels per disk."""
+    system = random_system(random.Random(5), min_chords=3, max_chords=3)
+    return json.loads(dumps_scenario(system))
+
+
+class TestRepeatedLabelTexts:
+    def test_malformed_repeat_names_first_index(self):
+        data = six_label_data()
+        data["labels_d"][2] = data["labels_d"][4] = "x9"
+        with pytest.raises(ScenarioFormatError, match=r"^labels_d\[2\]: "):
+            loads_scenario(json.dumps(data))
+
+    def test_valid_repeats_load_equal_and_round_trip(self):
+        data = six_label_data()
+        for i in (0, 2, 4):
+            data["labels_d"][i] = "x1 x2^-1 x1"
+        data["labels_e"][1] = data["labels_e"][5] = "1"
+        text = json.dumps(data, indent=2) + "\n"
+        system = loads_scenario(text)
+        word = parse_word("x1 x2^-1 x1", system.rank)
+        assert [system.labels_d[i] for i in (0, 2, 4)] == [word] * 3
+        assert system.labels_e[1] == system.labels_e[5] == parse_word("1", system.rank)
+        assert validate_system(system) == []
+        assert dumps_scenario(system) == text
+        assert loads_scenario(dumps_scenario(system)) == system

@@ -1,5 +1,7 @@
+import random
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,9 +18,13 @@ from disksurgery import (
     builtin_scenario,
     closure_report,
     format_word,
+    is_primitive,
+    load_scenario,
     outermost_choices,
     parse_word,
+    run_report,
     surger,
+    surgery,
     unoriented_cyclic_class,
     validate_system,
 )
@@ -35,6 +41,8 @@ from helpers import (
     reference_surger,
     single_chord_system,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -305,6 +313,45 @@ class TestClosureReport:
             report = closure_report(random_system(rng, max_chords=3))
             for direction in report.directions:
                 assert direction.any_primitive or not direction.all_primitive
+
+
+def shared_work_systems():
+    """fig1, the mixed rank-3 golden pair and seeded random pairs of both ranks."""
+    rng = random.Random(21)
+    drawn = [random_system(rng, max_chords=8) for _ in range(16)]
+    assert {system.rank for system in drawn} == {2, 3}
+    return [
+        pytest.param(builtin_scenario("fig1", 3), id="fig1"),
+        pytest.param(load_scenario(GOLDEN / "mixed_rank3.json"), id="mixed_rank3"),
+        *(pytest.param(system, id=f"random{i}-rank{system.rank}")
+          for i, system in enumerate(drawn)),
+    ]
+
+
+@pytest.mark.parametrize("system", shared_work_systems())
+def test_shared_verdicts_and_classes_change_no_result(monkeypatch, system):
+    calls = []
+
+    def counted(word, rank):
+        calls.append(word)
+        return is_primitive(word, rank)
+
+    monkeypatch.setattr(surgery, "is_primitive", counted)
+    closure = closure_report(system)
+    entries = [entry for direction in closure.directions for entry in direction.entries]
+    outcomes = [outcome for outcome, _ in entries]
+    assert outcomes == list(all_surgeries(system))
+    for outcome, verdict in entries:
+        alone = is_primitive(outcome.boundary_word.cyclic(), system.rank)
+        assert (verdict.primitive, verdict.oz_fired, verdict.minimal, verdict.certificate) == (
+            alone.primitive, alone.oz_fired, alone.minimal, alone.certificate)
+    # One verdict per distinct canonical word, shared by its outcomes.
+    assert len(calls) == len({outcome.boundary_word.cyclic() for outcome in outcomes})
+
+    rows = run_report(system)["outcomes"]
+    assert [row["cyclic_class"] for row in rows] == [
+        format_word(unoriented_cyclic_class(o.boundary_word)) for o in outcomes]
+    assert [row["word"] for row in rows] == [format_word(o.boundary_word) for o in outcomes]
 
 
 @st.composite
