@@ -9,7 +9,8 @@ and the pure-Python reference ``pyops``. Both export the same kernels:
 * ``least_rotation`` alone, for words already cyclically reduced;
 * ``apply_images(letters, images)``, Whitehead substitution by an image
   table, freely reduced: ``images[letter_key(a)]`` is the image of ``a``,
-  as in ``WhiteheadAuto.images``;
+  as in the tables ``primitivity`` builds where it applies a Whitehead
+  automorphism;
 * ``apply_images_canonical(letters, images, max_len=None)``, the same in
   canonical cyclic form, or ``None`` without any rotation when the cyclic
   reduction is longer than ``max_len``.

@@ -8,7 +8,8 @@ unavailable; the two backends give the same results and exception types
 * :func:`least_rotation`, the rotation alone, for words already
   cyclically reduced;
 * :func:`apply_images`, substitution by an image table (one image per
-  letter slot, in :func:`letter_key` order, as ``WhiteheadAuto.images``),
+  letter slot, in :func:`letter_key` order, as ``primitivity`` builds for
+  a Whitehead automorphism where it applies one),
   and :func:`apply_images_canonical`, the same followed by the canonical
   cyclic form, or ``None`` when the cyclic reduction is longer than an
   optional ``max_len``.
@@ -119,10 +120,10 @@ def apply_images(letters, images, /):
 
     ``images`` holds one image per letter slot, a sequence of letters,
     in :func:`letter_key` order: the image of ``l`` is
-    ``images[letter_key(l)]``, as in ``WhiteheadAuto.images``. A letter
-    the table does not cover (``0``, or one whose ``letter_key`` is past
-    the end of ``images``) raises ``ValueError``, and a table or image
-    that is not a sequence ``TypeError``, as in the compiled backend.
+    ``images[letter_key(l)]``. A letter the table does not cover (``0``,
+    or one whose ``letter_key`` is past the end of ``images``) raises
+    ``ValueError``, and a table or image that is not a sequence
+    ``TypeError``, as in the compiled backend.
     """
     return tuple(_substitute(letters, images)[1:])
 

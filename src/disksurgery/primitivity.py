@@ -25,9 +25,21 @@ minimization problem*, 2007). The graph does not change under rotation,
 so the words between steps are kept cyclically reduced but unrotated,
 and only the last one is put in canonical form.
 
-:class:`WhiteheadAuto` is the second kind only. The first kind, the
-signed permutations of the generators, keeps every cyclic length, so no
-descent step is one; the oracle applies them only as relabellings.
+Both routes below work on a word's support renamed onto ``x1..x_s``
+(:func:`_rename_support`), so the descent runs at the rank ``s`` of the
+word, not of the ambient group: each step builds an image table of
+``2s`` slots, and nothing is sized by the rank. The renaming is
+increasing in the generator index and keeps signs, so it keeps table
+order and hence the first reducer; each step's ``(a, A)`` is mapped back
+to the caller's letters for its certificate entry, which is the very
+entry of :func:`enumerate_whitehead_autos` at the caller's rank, so
+certificates do not change with the renaming.
+
+:class:`WhiteheadAuto` is the second kind only, and it is its
+``(rank, a, A)`` alone: a table is built where one is applied. The
+first kind, the signed permutations of the generators, keeps every
+cyclic length, so no descent step is one; the oracle applies them only
+as relabellings.
 
 Two independent routes are provided and cross-checked by the test suite:
 
@@ -111,24 +123,27 @@ def _image_pair(x, a, state):
 class WhiteheadAuto:
     """A second-kind Whitehead automorphism ``(A, a)`` of Aut(F_rank).
 
-    A multiplier letter ``a`` and a letter set ``members`` with ``a`` in
-    the set and ``a^-1`` outside it. A letter ``x`` (other than ``a``,
-    ``a^-1``) maps to ``x a`` if only ``x`` is a member, to ``a^-1 x`` if
-    only ``x^-1`` is, to ``a^-1 x a`` if both are, and is fixed if
-    neither is; ``a`` is fixed. Built by :meth:`second`.
+    A multiplier letter ``a`` and a frozenset of letters ``members`` with
+    ``a`` in the set and ``a^-1`` outside it. A letter ``x`` (other than
+    ``a``, ``a^-1``) maps to ``x a`` if only ``x`` is a member, to
+    ``a^-1 x`` if only ``x^-1`` is, to ``a^-1 x a`` if both are, and is
+    fixed if neither is; ``a`` is fixed.
 
-    ``images`` is the image table both kernel backends read: one tuple of
-    letters per letter slot, the image of ``x`` at ``letter_key(x)``.
+    It is its ``(rank, multiplier, members)`` alone. An image table
+    (:func:`_second_images`) is built where one is applied: over the
+    renamed support in the descent, and up to the largest generator that
+    the word or ``A`` uses in :func:`apply_auto_cyclic`. None is sized by
+    the rank.
     """
 
-    __slots__ = ("rank", "multiplier", "members", "images")
+    __slots__ = ("rank", "multiplier", "members")
     # Constants kept only because layerbench/worker.py records them with every certificate step.
     kind = "second"
     perm = signs = None
 
     def __init__(self, rank, multiplier, members):
         check_rank(rank)
-        # The kernels read `images`: a float or a bool would pass the checks below.
+        # Image tables go to the kernels: a float or a bool would pass the checks below.
         if not isinstance(members, frozenset):
             raise ValueError("second kind needs a frozenset of letters")
         _check_ints("multiplier", (multiplier,))
@@ -141,16 +156,6 @@ class WhiteheadAuto:
         self.rank = rank
         self.multiplier = multiplier
         self.members = members
-        images = []
-        for x in range(1, rank + 1):
-            state = 0 if x == abs(multiplier) else (x in members) + 2 * (-x in members)
-            images += _image_pair(x, multiplier, state)
-        self.images = tuple(images)
-
-    @classmethod
-    def second(cls, rank, multiplier, members):
-        """The automorphism ``(members, multiplier)``; ``members`` is any iterable of letters."""
-        return cls(rank, multiplier, frozenset(members))
 
     def _ident(self):
         return (self.rank, self.multiplier, self.members)
@@ -170,12 +175,23 @@ class WhiteheadAuto:
         return f"WhiteheadAuto[{self.describe()}]"
 
 
+def _second_images(size, multiplier, members):
+    """Image table of the second-kind ``(members, multiplier)`` over
+    ``x1..x_size``, which must hold the multiplier: ``2 * size`` slots,
+    the image of ``x`` at ``letter_key(x)``. ``members`` is a set."""
+    images = []
+    for x in range(1, size + 1):
+        state = 0 if x == abs(multiplier) else (x in members) + 2 * (-x in members)
+        images += _image_pair(x, multiplier, state)
+    return tuple(images)
+
+
 @lru_cache(maxsize=None)
 def _second_auto(rank, multiplier, members):
     """The second-kind ``(members, multiplier)``, built once per argument
     triple, so that a descent step is the very table entry for its
     ``(a, A)`` whichever is built first."""
-    return WhiteheadAuto.second(rank, multiplier, members)
+    return WhiteheadAuto(rank, multiplier, members)
 
 
 @lru_cache(maxsize=None)
@@ -203,9 +219,49 @@ def enumerate_whitehead_autos(rank: int) -> tuple[WhiteheadAuto, ...]:
 
 
 def apply_auto_cyclic(auto: WhiteheadAuto, cyclic: CyclicWord) -> CyclicWord:
-    """Induced action on conjugacy classes (canonical cyclic output)."""
+    """Induced action on conjugacy classes (canonical cyclic output).
+
+    The image table covers the generators up to the largest one that the
+    word or ``A`` uses, whatever the rank.
+    """
     check_support(cyclic.letters, auto.rank)
-    return CyclicWord._from_canonical(apply_images_canonical(cyclic.letters, auto.images))
+    size = max(map(abs, chain(cyclic.letters, auto.members)))
+    images = _second_images(size, auto.multiplier, auto.members)
+    return CyclicWord._from_canonical(apply_images_canonical(cyclic.letters, images))
+
+
+def _rename_support(letters):
+    """``letters`` renamed onto ``x1..x_s`` for a support of ``s``
+    generators, in order and with their signs, and the support's
+    generators in ascending order: ``x_i`` stands for ``names[i - 1]``.
+
+    The renaming is increasing in the generator index and keeps signs, so
+    it keeps :func:`letter_key` order and commutes with free reduction
+    and rotation.
+    """
+    names = tuple(sorted(set(map(abs, letters))))
+    if not names or names[-1] == len(names):  # already x1..x_s
+        return letters, names
+    index = {sign * g: sign * i for i, g in enumerate(names, 1) for sign in (1, -1)}
+    return tuple(map(index.__getitem__, letters)), names
+
+
+def _named(letters, names):
+    """Renamed ``letters`` under the generators they stand for."""
+    return [names[x - 1] if x > 0 else -names[-x - 1] for x in letters]
+
+
+@lru_cache(maxsize=512)
+def _step(rank, names, multiplier, members):
+    """The image table of the renamed step ``(members, multiplier)`` over
+    the ``s = len(names)`` generators of its support, and the step's
+    certificate entry: the table entry at ``rank`` for it mapped back.
+
+    Steps recur across words, so the last 512 are kept: at most 512
+    tables of ``2s`` slots, none sized by the rank.
+    """
+    return (_second_images(len(names), multiplier, members),
+            _second_auto(rank, names[multiplier - 1], frozenset(_named(members, names))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,27 +283,23 @@ class PrimitivityVerdict:
 
 
 def _whitehead_graph(letters):
-    """Whitehead graph of a cyclically reduced word of length at least 2.
+    """Whitehead graph of a cyclically reduced word of length at least 2
+    over ``x1..x_s``, its support renamed as :func:`_rename_support` does.
 
-    Vertices are the word's support letters in table order (``x_i``,
-    ``x_i^-1`` for each generator index ``i`` the word uses, ascending),
-    so the inverse of vertex ``v`` is ``v ^ 1``. Each cyclic position
-    ``i`` adds one edge between ``w[i]`` and ``w[i+1]^-1``; there are no
-    loops, as the word is cyclically reduced. Returns the vertex letters
-    and the symmetric edge-count matrix.
+    Vertex ``letter_key(x)`` is the letter ``x``, so the inverse of vertex
+    ``v`` is ``v ^ 1``. Each cyclic position ``i`` adds one edge between
+    ``w[i]`` and ``w[i+1]^-1``; there are no loops, as the word is
+    cyclically reduced. Returns the symmetric edge-count matrix.
     """
-    vertices = []
-    for g in sorted({abs(a) for a in letters}):
-        vertices += (g, -g)
-    index = {a: v for v, a in enumerate(vertices)}
-    adj = [[0] * len(vertices) for _ in vertices]
-    prev = index[letters[-1]]
-    for a in letters:
-        u = index[-a]
-        adj[prev][u] += 1
-        adj[u][prev] += 1
-        prev = index[a]
-    return vertices, adj
+    keys = [a + a - 2 if a > 0 else -a - a - 1 for a in letters]  # letter_key, inlined
+    size = (max(keys) | 1) + 1
+    adj = [[0] * size for _ in range(size)]
+    prev = keys[-1]
+    for v in keys:
+        adj[prev][v ^ 1] += 1
+        adj[v ^ 1][prev] += 1
+        prev = v
+    return adj
 
 
 def _flow_reaches(adj, source, sink, limit):
@@ -361,13 +413,17 @@ _SCAN_ONLY_MASKS = 1 << 6
 _SCAN_MASKS = 1 << 10
 
 
-def _reducing_step(letters, rank):
+def _reducing_step(letters, names):
     """The first length-reducing automorphism in table order, or ``None``.
 
-    Returns ``(auto, predicted cyclic length of the image)``. Letters
+    ``letters`` is a renamed word whose support is all of ``x1..x_s``,
+    and ``names`` the generators they stand for, which the error below
+    names. Returns the multiplier, which is positive, and the letter set,
+    both renamed, and the predicted cyclic length of the image. Letters
     outside the support would be isolated vertices: as multipliers they
     have degree 0, and as members they leave ``cap(A)`` unchanged while
-    coming later in table order, so the first reducer never involves one.
+    coming later in table order, so the first reducer never involves one,
+    and the renaming, which keeps table order, keeps it.
 
     Only positive multipliers are tried. The graph is undirected and
     ``deg(x) = deg(x^-1)``, as both count the occurrences of ``x`` and
@@ -400,12 +456,12 @@ def _reducing_step(letters, rank):
     flow per support generator to rule multipliers out, and scans at most
     1,024 masks per multiplier.
     """
-    vertices, adj = _whitehead_graph(letters)
+    adj = _whitehead_graph(letters)
     degree = [sum(row) for row in adj]
-    masks = 1 << (len(vertices) - 2)
+    masks = 1 << (len(adj) - 2)
     flows = masks > _SCAN_ONLY_MASKS
     # Odd vertices are the inverses x^-1; their answer repeats x's.
-    for a in range(0, len(vertices), 2):
+    for a in range(0, len(adj), 2):
         if flows and _flow_reaches(adj, a, a ^ 1, degree[a]):
             continue
         found = _first_reducing_set(adj, degree, a, _SCAN_MASKS)
@@ -413,13 +469,13 @@ def _reducing_step(letters, rank):
             found = _smallest_reducing_set(adj, degree, a)
         if found is None:
             if flows:
-                raise RuntimeError(f"no reducing set for multiplier {format_letter(vertices[a])}"
+                raise RuntimeError(f"no reducing set for multiplier {format_letter(names[a >> 1])}"
                                    " though the min cut is below its degree")
             continue
-        multiplier = vertices[a]
         members, change = found
-        members = frozenset([multiplier, *(vertices[v] for v in members)])
-        return _second_auto(rank, multiplier, members), len(letters) + change
+        # Vertex v is the letter whose letter_key is v; a is even, so positive.
+        members = frozenset([-(v >> 1) - 1 if v & 1 else (v >> 1) + 1 for v in (a, *members)])
+        return (a >> 1) + 1, members, len(letters) + change
     return None
 
 
@@ -439,9 +495,21 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
     raised if the image's length is not the predicted one. No Whitehead
     table is built.
 
+    The steps run on the word's support renamed onto ``x1..x_s``
+    (:func:`_rename_support`, which the oracle shares), so each applies
+    a ``2s``-slot image table and nothing is sized by the rank. The
+    renaming keeps ``letter_key`` order, so it keeps the multiplier
+    order, the mask order and hence the first reducer: each certificate
+    entry is the table entry at ``rank`` for the step's ``(a, A)`` mapped
+    back (:func:`_step`), and certificates do not change. The support
+    never grows along the descent; when the multiplier leaves it, the
+    word is renamed again, so the graph has no isolated vertices.
+
     The Whitehead graph does not change under rotation, so each image is
     kept as its cyclic reduction, in no particular rotation, and only the
-    last is rotated into canonical form, once, when a step was applied.
+    last is mapped back and rotated into canonical form, once, when a
+    step was applied; the renaming keeps order and signs, so mapping back
+    and rotating commute.
 
     ``_checked`` is for :func:`is_primitive`, which has checked the rank
     and the word's support already.
@@ -450,21 +518,26 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
         check_rank(rank)
         check_support(word.letters, rank)
     current = word if isinstance(word, CyclicWord) else word.cyclic()
-    letters = current.letters
+    letters, names = _rename_support(current.letters)
     certificate = []
     while len(letters) > 1:
-        step = _reducing_step(letters, rank)
+        step = _reducing_step(letters, names)
         if step is None:
             break
-        auto, predicted = step
-        image = cyclic_reduce(apply_images(letters, auto.images))
-        if len(image) != predicted:
-            raise RuntimeError(f"{auto.describe()} gave length {len(image)}, "
+        a, members, predicted = step
+        images, auto = _step(rank, names, a, members)
+        letters = cyclic_reduce(apply_images(letters, images))
+        if len(letters) != predicted:
+            raise RuntimeError(f"{auto.describe()} gave length {len(letters)}, "
                                f"predicted {predicted}")
         certificate.append(auto)
-        letters = image
+        # Only the multiplier can leave the support: the image of each other
+        # letter holds it once, and only powers of the multiplier cancel.
+        if a not in letters and -a not in letters:
+            letters, kept = _rename_support(letters)
+            names = tuple(_named(kept, names))
     if certificate:
-        current = CyclicWord._from_canonical(least_rotation(letters))
+        current = CyclicWord._from_canonical(least_rotation(_named(letters, names)))
     return PrimitivityVerdict(
         primitive=len(current) == 1,
         certificate=tuple(certificate),
@@ -566,7 +639,8 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
       new, its whole orbit is added, and one word of it joins the next
       level if ``v`` is shorter than ``max_len``. The orbit is found by
       the same kernel: ``v``'s support of ``s`` generators is renamed
-      onto ``x1..x_s``, in order and with its signs, and each injective
+      onto ``x1..x_s``, in order and with its signs, by the renaming the
+      descent uses (:func:`_rename_support`), and each injective
       signed map ``x1..x_s -> x1..x_rank`` is applied as a ``2*s``-slot
       image table (:func:`_relabellings`). There are
       ``2**s * rank! / (rank - s)!`` of them: 48 at rank 3 and ``s = 3``.
@@ -678,14 +752,13 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
     def add_orbit(image):
         # The renamed form is also the word the next level expands, under
         # the generators of rank min(s + 1, rank) for a support of s.
-        index = {g: i for i, g in enumerate(sorted({abs(x) for x in image}), 1)}
-        renamed = tuple(index[x] if x > 0 else -index[-x] for x in image)
-        for table in relabellings(len(index)):
+        renamed, names = _rename_support(image)
+        for table in relabellings(len(names)):
             seen.add(canonical(renamed, table, max_len))
             if len(seen) > cap:
                 raise OracleCapExceeded(message, cap)
         if len(renamed) < max_len:
-            level.setdefault(min(len(index) + 1, rank), []).append(renamed)
+            level.setdefault(min(len(names) + 1, rank), []).append(renamed)
 
     add_orbit((1,))
     while level:

@@ -19,8 +19,8 @@ built from checked letters trust them: :func:`parse_word`'s result,
 :func:`concat`, ``*``, :meth:`Word.inverse`, :meth:`Word.reduced`,
 :meth:`Word.cyclic`, :meth:`CyclicWord.inverse`,
 :func:`unoriented_cyclic_class`, and in ``primitivity``
-``apply_auto_cyclic`` and the certificate replay, whose images were
-checked with their automorphism. They wrap results with the private
+``apply_auto_cyclic`` and the certificate replay, whose image tables
+are built from an automorphism whose letters were checked. They wrap results with the private
 ``Word._from_valid`` and ``CyclicWord._from_canonical``.
 
 Text syntax (CLI and scenario files): whitespace-separated tokens

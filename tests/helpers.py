@@ -4,6 +4,7 @@ reference surgery, Whitehead automorphisms, descent and orbit oracle."""
 import os
 import random
 import resource
+from functools import lru_cache
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -207,8 +208,9 @@ def reference_crossing_pairs(order, chords):
 def first_kind_auto(rank, perm, signs):
     """The first-kind Whitehead automorphism ``x_i -> x_{perm[i-1]} ** signs[i-1]``,
     a signed permutation of the generators. The package builds only the
-    second kind; this carries the same ``rank`` and ``images`` fields, so
-    ``apply_auto``, ``apply_auto_cyclic`` and the kernels take it alike."""
+    second kind; this carries its ``rank`` and its image table as
+    ``images``, which :func:`image_table` returns, so ``apply_auto`` and
+    the kernels take it as they take a second-kind entry."""
     images = []
     for i in range(rank):
         target = perm[i] * signs[i]
@@ -232,17 +234,30 @@ def first_kind_generators(rank):
     return generators
 
 
+@lru_cache(maxsize=None)
+def _second_kind_table(auto):
+    return primitivity._second_images(auto.rank, auto.multiplier, auto.members)
+
+
+def image_table(auto):
+    """The image table of ``auto`` over all ``2 * rank`` letter slots, in
+    ``letter_key`` order. A first-kind stand-in carries its own; a
+    second-kind entry's is built here, once, from its ``(a, A)``, as the
+    package builds tables only where it applies them."""
+    return _second_kind_table(auto) if isinstance(auto, WhiteheadAuto) else auto.images
+
+
 def apply_auto(auto, word):
     """``auto`` applied to ``word`` letter by letter, freely reduced, as a
     checked ``Word``. The kernel is looked up in ``primitivity`` at call
     time, as in the references below."""
-    return Word(primitivity.apply_images(word.letters, auto.images))
+    return Word(primitivity.apply_images(word.letters, image_table(auto)))
 
 
 def inverse_auto(auto):
     """The inverse of the second-kind ``(A, a)``, which is ``(A - {a} + {a^-1}, a^-1)``."""
     a = auto.multiplier
-    return WhiteheadAuto.second(auto.rank, -a, (auto.members - {a}) | {-a})
+    return WhiteheadAuto(auto.rank, -a, (auto.members - {a}) | {-a})
 
 
 def reference_minimize(word, rank):
@@ -260,7 +275,7 @@ def reference_minimize(word, rank):
         n = len(current)
         for auto in autos:
             image = primitivity.cyclic_reduce(
-                primitivity.apply_images(current.letters, auto.images))
+                primitivity.apply_images(current.letters, image_table(auto)))
             if len(image) < n:
                 certificate.append(auto)
                 current = CyclicWord(image)
@@ -288,7 +303,7 @@ def reference_oracle(rank, max_len):
         for cyclic in frontier:
             for auto in autos:
                 image = CyclicWord(
-                    primitivity.apply_images_canonical(cyclic.letters, auto.images))
+                    primitivity.apply_images_canonical(cyclic.letters, image_table(auto)))
                 if len(image) <= max_len and image not in seen:
                     seen.add(image)
                     next_frontier.append(image)

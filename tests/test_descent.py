@@ -9,6 +9,7 @@ objects in the certificate, on either kernel backend.
 import json
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from disksurgery._kernels import pyops
 from disksurgery.cli import main
 from disksurgery.primitivity import enumerate_whitehead_autos
 from helpers import (
-    child_env, limit_cpu_and_memory, limit_memory, random_word, reference_minimize,
+    child_env, image_table, limit_cpu_and_memory, limit_memory, random_word, reference_minimize,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,9 +104,9 @@ def flows_per_step(monkeypatch):
         count[0] += 1
         return flow_reaches(*args)
 
-    def counted_step(letters, rank):
+    def counted_step(letters, names):
         count[0] = 0
-        result = reducing_step(letters, rank)
+        result = reducing_step(letters, names)
         steps.append((count[0], len({abs(a) for a in letters})))
         return result
 
@@ -168,12 +169,12 @@ def wide_word(s):
 def assert_flows_choose_first_set(letters):
     """Pins ``_smallest_reducing_set`` against the full mask scan for every
     multiplier vertex whose max flow is below its degree, and the flow
-    test against the scan for the others. Returns the multipliers checked
-    by flows."""
-    vertices, adj = primitivity._whitehead_graph(letters)
+    test against the scan for the others, on the graph of ``letters``
+    with their support renamed. Returns the multipliers checked by flows."""
+    adj = primitivity._whitehead_graph(primitivity._rename_support(letters)[0])
     degree = [sum(row) for row in adj]
     checked = 0
-    for a in range(len(vertices)):
+    for a in range(len(adj)):
         scanned = primitivity._first_reducing_set(adj, degree, a)
         if primitivity._flow_reaches(adj, a, a ^ 1, degree[a]):
             assert scanned is None, (letters, a)
@@ -209,36 +210,46 @@ class TestSmallestReducingSet:
         assert sum(assert_flows_choose_first_set(w.letters) for w in trail if len(w) >= 2) > 0
 
 
-@pytest.mark.parametrize("support", [5, 7])
-def test_flow_disagreeing_with_sets_raises(support, monkeypatch):
+@pytest.mark.parametrize("generators,rank", [
+    pytest.param(range(1, 6), 5, id="5"),
+    pytest.param(range(1, 8), 7, id="7"),
+    pytest.param(range(3, 8), 9, id="x3-x7-rank9"),
+])
+def test_flow_disagreeing_with_sets_raises(generators, rank, monkeypatch):
     """A flow below deg(a) with no reducing set after it is an error, on
     the scan path (support 5) and on the path that fixes a mask by flows
-    (support 7), not a skipped multiplier or a step that does not shorten."""
-    word = Word(tuple(g for i in range(1, support + 1) for g in (i, i)))
-    assert whitehead_minimize(word, support).certificate == ()
+    (support 7), not a skipped multiplier or a step that does not shorten.
+    The error names the caller's letter: over ``x3..x7`` it is ``x3``,
+    not the ``x1`` that the renamed support calls it."""
+    word = Word(tuple(g for i in generators for g in (i, i)))
+    assert whitehead_minimize(word, rank).certificate == ()
     monkeypatch.setattr(primitivity, "_flow_reaches", lambda *args: False)
-    with pytest.raises(RuntimeError, match="no reducing set for multiplier x1"):
-        whitehead_minimize(word, support)
+    with pytest.raises(RuntimeError, match=f"no reducing set for multiplier x{generators[0]} "):
+        whitehead_minimize(word, rank)
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_length_formula(rank, rng):
     """n + cap(A) - deg(a) is the cyclic length of the image under every
-    second-kind (A, a); letters outside the support are not vertices."""
+    second-kind (A, a); letters outside the support are not vertices, and
+    a support letter's vertex is the letter_key of its renamed letter."""
     autos = enumerate_whitehead_autos(rank)
     checked = 0
     while checked < 25:
         letters = random_word(rng, rank, 16, min_len=2).cyclic().letters
         if len(letters) < 2:
             continue
-        vertices, adj = primitivity._whitehead_graph(letters)
+        renamed, names = primitivity._rename_support(letters)
+        adj = primitivity._whitehead_graph(renamed)
+        assert len(adj) == 2 * len(names)
         assert sum(map(sum, adj)) == 2 * len(letters)
+        vertex = {x: pyops.letter_key(y) for x, y in zip(letters, renamed)}
+        vertex.update({-x: v ^ 1 for x, v in list(vertex.items())})
         for auto in autos:
-            members = {v for v, x in enumerate(vertices) if x in auto.members}
-            cap = sum(adj[u][v] for u in members for v in range(len(vertices)) if v not in members)
-            a = vertices.index(auto.multiplier) if auto.multiplier in vertices else None
-            degree = sum(adj[a]) if a is not None else 0
-            image = pyops.cyclic_reduce(pyops.apply_images(letters, auto.images))
+            members = {vertex[x] for x in auto.members if x in vertex}
+            cap = sum(adj[u][v] for u in members for v in range(len(adj)) if v not in members)
+            degree = sum(adj[vertex[auto.multiplier]]) if auto.multiplier in vertex else 0
+            image = pyops.cyclic_reduce(pyops.apply_images(letters, image_table(auto)))
             assert len(image) == len(letters) + cap - degree, (letters, auto)
         checked += 1
 
@@ -256,6 +267,38 @@ class TestSupportRank:
                     [a.describe() for a in base.certificate]
                 assert all(a.rank == rank for a in verdict.certificate)
 
+    def test_skipped_and_shrinking_supports(self, rng):
+        # The descent renames the support onto x1..xs, and again whenever
+        # it shrinks. Certificates must still be the reference's, and each
+        # entry the very object of the table at the word's rank.
+        words = [parse_word("x2 x5 x2 x5 x5", 6), parse_word("x2 x5^-1 x2 x5^-1 x2", 6),
+                 parse_word("x3 x1 x3 x1 x1", 4)]
+        words = [(word, max(map(abs, word.letters))) for word in words]
+        for rank in range(2, 7):
+            for _ in range(24 if rank < 5 else 6):
+                support = rng.sample(range(1, rank + 1), rng.randint(1, min(rank, 3)))
+                letters = [rng.choice(support) * rng.choice((1, -1)) for _ in range(12)]
+                words.append((Word(tuple(letters)), rank))
+                # A Nielsen image of a generator of the support, which is
+                # primitive, so its descent ends on one generator.
+                basis = [Word((g,)) for g in support]
+                for _ in range(3 * len(support) if len(support) > 1 else 0):
+                    i, j = rng.sample(range(len(support)), 2)
+                    factor = basis[j] if rng.random() < 0.5 else basis[j].inverse()
+                    basis[i] = (basis[i] * factor).reduced()
+                words.append((basis[0], rank))
+        shrank = skipped = 0
+        for word, rank in words:
+            assert_same_descent(word, rank)
+            certificate = whitehead_minimize(word, rank).certificate
+            table = {id(auto) for auto in enumerate_whitehead_autos(rank)}
+            assert all(id(auto) in table for auto in certificate), (word, rank)
+            trail = primitivity.replay_certificate(word, certificate)
+            sizes = [len({abs(x) for x in w.letters}) for w in trail]
+            shrank += any(size < sizes[0] for size in sizes[1:-1])
+            skipped += bool(certificate) and max(map(abs, word.letters)) > sizes[0]
+        assert shrank >= 10 and skipped >= 10, (shrank, skipped)
+
     def test_minimal_word_builds_no_table(self):
         enumerate_whitehead_autos.cache_clear()
         try:
@@ -267,8 +310,9 @@ class TestSupportRank:
 
     def test_steps_built_first_are_table_entries(self):
         # Benchmark tracing finds each certificate entry in the table by
-        # identity, and the table may be built after the descent.
-        caches = (enumerate_whitehead_autos, primitivity._second_auto)
+        # identity, and the table may be built after the descent. The step
+        # cache holds certificate entries too, so it starts empty as well.
+        caches = (enumerate_whitehead_autos, primitivity._second_auto, primitivity._step)
         for cache in caches:
             cache.cache_clear()
         try:
@@ -309,6 +353,52 @@ def test_rank12_answers_without_a_table():
     assert "tables 0" in lines
     assert lines.count("minimal cyclic word: x1 x2 x1^-1 x2^-1 (length 4)") == 2
     assert sum(line.startswith("  step ") for line in lines) == 4
+
+
+def primitive_cli(rank, word, **limits):
+    return subprocess.run(
+        [sys.executable, "-m", "disksurgery.cli", "primitive", "--rank", str(rank), word],
+        capture_output=True, text=True, env=child_env("pure"), timeout=60, **limits,
+    )
+
+
+def test_rank_million_prints_what_rank5_prints():
+    # Each step's image table is sized by the word's support, so at rank
+    # 10**6 the answer is that of rank 5. A table sized by the rank (2 * 10**6
+    # slots per step) ends in a MemoryError or runs out the timeout here.
+    big = primitive_cli(10**6, "x1 x2 x1 x2 x2", preexec_fn=limit_memory)
+    small = primitive_cli(5, "x1 x2 x1 x2 x2")
+    assert big.returncode == 0 and small.returncode == 0, big.stderr
+    lines = big.stdout.splitlines()
+    assert "rank: 1000000" in lines and "verdict: primitive" in lines
+    assert [line for line in lines if not line.startswith("rank: ")] == \
+        [line for line in small.stdout.splitlines() if not line.startswith("rank: ")]
+
+
+# Forty reducible five-letter words over two generators picked from 1..20,000.
+RANK20000_PROBE = """
+import random
+from disksurgery import Word, is_primitive
+rng = random.Random(20000)
+steps = 0
+for _ in range(40):
+    a, b = rng.sample(range(1, 20001), 2)
+    verdict = is_primitive(Word((a, b, a, b, b)), 20000)
+    assert verdict.primitive
+    steps += len(verdict.certificate)
+print("steps", steps)
+"""
+
+def test_many_words_at_a_high_rank_keep_no_tables():
+    # A 40,000-slot table kept for each step takes this process past
+    # 256 MiB; tables over the support keep it far below.
+    out = subprocess.run(
+        [sys.executable, "-c", RANK20000_PROBE], capture_output=True, text=True,
+        env=child_env("pure"), preexec_fn=partial(limit_memory, 256 * 2**20), timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    name, steps = out.stdout.split()
+    assert name == "steps" and int(steps) >= 100
 
 
 def test_rank9_closure_without_a_table(tmp_path):

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disksurgery import (
+    CyclicWord,
     WhiteheadAuto,
     apply_auto_cyclic,
     oracle_primitives,
@@ -25,8 +26,8 @@ from disksurgery import (
 )
 from disksurgery.primitivity import OracleCapExceeded, enumerate_whitehead_autos
 from helpers import (
-    child_env, first_kind_auto, first_kind_generators, limit_cpu_and_memory, limit_memory,
-    random_word, reference_oracle,
+    child_env, first_kind_auto, first_kind_generators, image_table, limit_cpu_and_memory,
+    limit_memory, random_word, reference_oracle,
 )
 
 PINNED = ([(2, n) for n in range(1, 17)] + [(2, 20)] + [(3, n) for n in range(1, 7)]
@@ -51,7 +52,7 @@ def test_skipped_entries_act_as_kept_ones(rank, rng):
     letters = frozenset(range(-rank, rank + 1)) - {0}
     cyclics = [random_word(rng, rank, 14).cyclic() for _ in range(20)]
     for auto in enumerate_whitehead_autos(rank):
-        partner = WhiteheadAuto.second(rank, -auto.multiplier, letters - auto.members)
+        partner = WhiteheadAuto(rank, -auto.multiplier, letters - auto.members)
         fixes = len(auto.members) in (1, 2 * rank - 1)
         for cyclic in cyclics:
             image = apply_auto_cyclic(auto, cyclic)
@@ -71,15 +72,15 @@ def test_cap_fires_exactly_above_closure_size(rank, max_len):
 def orbit_representatives(words, rank):
     """One word per orbit of the signed permutations on ``words``, a set
     closed under them, found with the helper's generators."""
-    generators = first_kind_generators(rank)
+    tables = [auto.images for auto in first_kind_generators(rank)]
     left, representatives = set(words), []
     while left:
         stack = [left.pop()]
         representatives.append(stack[0])
         while stack:
             cyclic = stack.pop()
-            for auto in generators:
-                image = apply_auto_cyclic(auto, cyclic)
+            for images in tables:
+                image = CyclicWord(primitivity.apply_images_canonical(cyclic.letters, images))
                 if image in left:
                     left.remove(image)
                     stack.append(image)
@@ -151,7 +152,7 @@ def test_cap_fires_inside_an_orbit(monkeypatch):
 def test_generator_tables_are_the_kept_entries(rank):
     tables = list(primitivity._second_kind_images(rank))
     assert len(tables) == rank * (4 ** (rank - 1) - 2)
-    kept = [auto.images for auto in enumerate_whitehead_autos(rank)
+    kept = [image_table(auto) for auto in enumerate_whitehead_autos(rank)
             if auto.multiplier > 0 and 1 < len(auto.members) < 2 * rank - 1]
     assert sorted(tables) == sorted(kept)
 
@@ -167,7 +168,8 @@ def test_closed_under_first_kind_and_inversion(case):
     closure = oracle_primitives(rank, max_len)
     assert all(cyclic.inverse() in closure for cyclic in closure)
     for auto in first_kind_generators(rank):
-        assert all(apply_auto_cyclic(auto, cyclic) in closure for cyclic in closure), auto
+        assert all(CyclicWord(primitivity.apply_images_canonical(cyclic.letters, auto.images))
+                   in closure for cyclic in closure), auto
 
 
 BAD_SIZES = [("max_len", value) for value in (1.0, 2.5, True, "3")] + \

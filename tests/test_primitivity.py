@@ -63,18 +63,18 @@ class TestEnumeration:
 
     def test_invalid_member_sets_rejected(self):
         with pytest.raises(ValueError):
-            WhiteheadAuto.second(2, 1, {1, -1})
+            WhiteheadAuto(2, 1, frozenset({1, -1}))
         with pytest.raises(ValueError):
-            WhiteheadAuto.second(2, 1, {2})
+            WhiteheadAuto(2, 1, frozenset({2}))
 
-    # `images` is the kernels' table, so the constructor is what keeps a
-    # float or a bool out of it.
+    # Image tables built from (a, A) go to the kernels, so the constructor
+    # is what keeps a float or a bool out of them.
     @pytest.mark.parametrize("build,field", [
-        (lambda: WhiteheadAuto.second(2, 1.0, {1.0}), "multiplier"),
-        (lambda: WhiteheadAuto.second(2, 1.0, {1}), "multiplier"),
-        (lambda: WhiteheadAuto.second(2, True, {1}), "multiplier"),
-        (lambda: WhiteheadAuto.second(2, 1, {1, 2.0}), "members"),
-        (lambda: WhiteheadAuto.second(2, 2, {2, True}), "members"),
+        (lambda: WhiteheadAuto(2, 1.0, frozenset({1.0})), "multiplier"),
+        (lambda: WhiteheadAuto(2, 1.0, frozenset({1})), "multiplier"),
+        (lambda: WhiteheadAuto(2, True, frozenset({1})), "multiplier"),
+        (lambda: WhiteheadAuto(2, 1, frozenset({1, 2.0})), "members"),
+        (lambda: WhiteheadAuto(2, 2, frozenset({2, True})), "members"),
     ])
     def test_letters_that_are_not_ints_rejected(self, build, field):
         with pytest.raises(ValueError, match=f"{field} entries must be ints"):
