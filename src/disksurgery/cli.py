@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 usage error, 3 not primitive (``primitive``
-subcommand), 4 scenario parse/validation failure, 5 oracle node cap hit.
+subcommand), 4 scenario parse/validation failure, 5 oracle node cap or
+letter budget hit.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from ._kernels import letter_key
 from .primitivity import (
     OracleCapExceeded,
     _replay,
@@ -78,9 +80,23 @@ def _cmd_primitive(args) -> int:
     return EXIT_OK if verdict.primitive else EXIT_NOT_PRIMITIVE
 
 
+def _letter_order(rank):
+    """Sort key putting words over ``x1..x_rank`` in the lexicographic order
+    of their ``letter_key`` tuples: each letter's key as fixed-width
+    big-endian bytes, which compare as the keys do. That is one byte a
+    letter up to rank 128, against eight for a tuple of ints, so sorting a
+    closure near the oracle's letter budget does not double it.
+    """
+    width = ((2 * rank - 1).bit_length() + 7) // 8
+    codes = [b""] * (2 * rank + 1)  # the code of letter a at index a
+    for a in (*range(1, rank + 1), *range(-rank, 0)):
+        codes[a] = letter_key(a).to_bytes(width, "big")
+    return lambda cyclic: b"".join(map(codes.__getitem__, cyclic.letters))
+
+
 def _cmd_oracle(args) -> int:
     words = oracle_primitives(args.rank, args.max_len)
-    for cyclic in sorted(words, key=lambda w: w.sort_key()):
+    for cyclic in sorted(words, key=_letter_order(args.rank)):
         print(format_word(cyclic))
     return EXIT_OK
 

@@ -51,8 +51,10 @@ Two independent routes are provided and cross-checked by the test suite:
   ``x1``, restricted to a length bound, under the second-kind ``(A, a)``
   with ``a`` positive, built from ``(a, A)`` without the table. The
   closure is kept as whole orbits of the signed permutations: each new
-  orbit is added whole, by relabelling its word through the same
-  kernel, and one word per orbit is expanded, renamed onto ``x1..x_s``
+  orbit is added whole, by relabelling its word letter by letter and
+  taking each image's least rotation, with no free reduction (a signed
+  permutation keeps a word cyclically reduced), and one word per orbit
+  is expanded through the kernel, renamed onto ``x1..x_s``
   for a support of ``s`` generators. It is expanded only under the
   generators of rank ``n = min(s + 1, rank)``, those with
   ``1 < |A| < 2*n - 1``: 4 for one support generator and 42 for two,
@@ -73,6 +75,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, permutations, product
+from operator import itemgetter
 
 from ._kernels import (apply_images, apply_images_canonical, cyclic_reduce, least_rotation,
                        letter_key)
@@ -91,10 +94,15 @@ __all__ = [
 
 DEFAULT_ORACLE_CAP = 10**6
 _ORACLE_CAP_ENV = "DISKSURGERY_ORACLE_CAP"
+# Letters the oracle's closure may keep, summed over its words. The node
+# cap bounds the words, not their length: rank 2 at length 400 is 194,712
+# words but 51.9 million letters, about 8 bytes each.
+ORACLE_LETTER_BUDGET = 2**25
 
 
 class OracleCapExceeded(RuntimeError):
-    """The oracle's breadth-first closure hit its node cap."""
+    """The oracle's breadth-first closure hit its node cap, or its letter
+    budget ``ORACLE_LETTER_BUDGET``; ``cap`` is the bound it hit."""
 
     def __init__(self, message: str, cap: int):
         super().__init__(message)
@@ -130,10 +138,9 @@ class WhiteheadAuto:
     fixed if neither is; ``a`` is fixed.
 
     It is its ``(rank, multiplier, members)`` alone. An image table
-    (:func:`_second_images`) is built where one is applied: over the
-    renamed support in the descent, and up to the largest generator that
-    the word or ``A`` uses in :func:`apply_auto_cyclic`. None is sized by
-    the rank.
+    (:func:`_second_images`) is built where one is applied, over the
+    renamed support of the word and ``A``: in the descent and in
+    :func:`apply_auto_cyclic`. None is sized by the rank.
     """
 
     __slots__ = ("rank", "multiplier", "members")
@@ -221,13 +228,19 @@ def enumerate_whitehead_autos(rank: int) -> tuple[WhiteheadAuto, ...]:
 def apply_auto_cyclic(auto: WhiteheadAuto, cyclic: CyclicWord) -> CyclicWord:
     """Induced action on conjugacy classes (canonical cyclic output).
 
-    The image table covers the generators up to the largest one that the
-    word or ``A`` uses, whatever the rank.
+    The word and ``A`` are renamed together onto ``x1..x_s`` for the ``s``
+    generators they use (:func:`_rename_support`), and the image is mapped
+    back, so the table has ``2s`` slots whatever the rank or the indices.
+    The renaming keeps ``letter_key`` order, so the mapped-back image is
+    still the least rotation.
     """
-    check_support(cyclic.letters, auto.rank)
-    size = max(map(abs, chain(cyclic.letters, auto.members)))
-    images = _second_images(size, auto.multiplier, auto.members)
-    return CyclicWord._from_canonical(apply_images_canonical(cyclic.letters, images))
+    letters = cyclic.letters
+    check_support(letters, auto.rank)
+    renamed, names = _rename_support((*letters, auto.multiplier, *auto.members))
+    n = len(letters)
+    images = _second_images(len(names), renamed[n], set(renamed[n + 1:]))
+    image = apply_images_canonical(renamed[:n], images)
+    return CyclicWord._from_canonical(tuple(_named(image, names)))
 
 
 def _rename_support(letters):
@@ -614,13 +627,29 @@ def _second_kind_images(rank: int):
 
 
 def _relabellings(rank: int, size: int):
-    """Image tables of the injective signed maps ``x1..x_size -> x1..x_rank``,
+    """Letter tables of the injective signed maps ``x1..x_size -> x1..x_rank``,
     one at a time: ``2**size * rank! / (rank - size)!`` tables of
-    ``2*size`` slots, each image one letter.
+    ``2*size + 1`` letters. Slot ``i`` holds the image of ``x_i`` and slot
+    ``-i``, read from the end, that of ``x_i^-1``, so a letter indexes its
+    own image; slot 0 is unused.
     """
     for targets in permutations(range(1, rank + 1), size):
         for letters in product(*((t, -t) for t in targets)):
-            yield tuple(chain.from_iterable(((x,), (-x,)) for x in letters))
+            yield (0, *letters, *[-x for x in reversed(letters)])
+
+
+def _relabel(letters, tables):
+    """The canonical cyclic words of the cyclically reduced ``letters``,
+    of length at least 2, under each of the letter ``tables``
+    (:func:`_relabellings`), one at a time.
+
+    A signed map is injective, so ``a != -b`` gives ``s(a) != -s(b)``: the
+    image of a cyclically reduced word is cyclically reduced and as long,
+    and each needs only its least rotation, no free reduction. The lookup
+    is built once for all the tables; on one letter it would return a
+    bare letter, not a tuple, hence the length.
+    """
+    return map(least_rotation, map(itemgetter(*letters), tables))
 
 
 def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -> frozenset[CyclicWord]:
@@ -637,16 +666,20 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
 
     * *Relabelling.* When a second-kind image ``v`` within the bound is
       new, its whole orbit is added, and one word of it joins the next
-      level if ``v`` is shorter than ``max_len``. The orbit is found by
-      the same kernel: ``v``'s support of ``s`` generators is renamed
-      onto ``x1..x_s``, in order and with its signs, by the renaming the
-      descent uses (:func:`_rename_support`), and each injective
-      signed map ``x1..x_s -> x1..x_rank`` is applied as a ``2*s``-slot
-      image table (:func:`_relabellings`). There are
-      ``2**s * rank! / (rank - s)!`` of them: 48 at rank 3 and ``s = 3``.
-      The tables of a support size are kept for the call while there are
-      at most ``node_cap`` of them, and made one at a time otherwise. The
-      seeds are the orbit of ``x1``, added the same way.
+      level if ``v`` is shorter than ``max_len``. ``v``'s support of
+      ``s`` generators is renamed onto ``x1..x_s``, in order and with its
+      signs, by the renaming the descent uses (:func:`_rename_support`),
+      and each injective signed map ``x1..x_s -> x1..x_rank`` is applied
+      as a letter table (:func:`_relabellings`) by :func:`_relabel`: one
+      lookup per letter, built once per orbit, then the least rotation.
+      A signed map sends a cyclically reduced word to a cyclically
+      reduced word of the same length, so nothing is reduced, stripped
+      or checked against ``max_len``. There are
+      ``2**s * rank! / (rank - s)!`` maps: 8 at rank 2 and ``s = 2``, 48
+      at rank 3 and ``s = 3``. The tables of a support size are kept for
+      the call while there are at most ``node_cap`` of them, and made one
+      at a time otherwise. The seeds, the orbit of ``x1``, are the
+      ``2*rank`` words of length one.
     * *Expansion.* The renamed word is the one expanded, under the
       ``n * (4**(n - 1) - 2)`` second-kind generators of rank
       ``n = min(s + 1, rank)``: 4 for ``s = 1``, 42 for ``s = 2`` and 248
@@ -700,30 +733,42 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
       in it is shorter than ``w``, hence than ``max_len``: no generator
       needs to be applied to a word at the bound.
 
-    Each image is canonicalized once, by the kernel, which is given
-    ``max_len``: an image whose cyclic reduction is longer is never
-    rotated or made a tuple, and comes back as ``None``. A relabelling
-    keeps the length, so it is given the same bound. Each kept word
-    becomes a :class:`CyclicWord` only at the end.
+    Each second-kind image is canonicalized once, by the kernel, which
+    is given ``max_len``: an image whose cyclic reduction is longer is
+    never rotated or made a tuple, and comes back as ``None``. Each kept
+    word becomes a :class:`CyclicWord` only at the end.
 
     Intended as an independent ground truth for :func:`is_primitive` at
-    small sizes. Each expanded word costs one kernel call per generator
-    of its support's rank, and each new orbit one per relabelling. A
-    signed permutation that fixes a cyclic word is determined by the
-    rotation it induces, so an orbit has at least one word per
-    ``max_len`` relabellings, and for a given ``max_len`` the node cap
-    bounds the work at every rank. On the pure kernels (one core of a
-    2-core Xeon, Python 3.11) rank 3 at length 8, 32,338 words, takes
-    about 0.2 s, rank 4 at length 7, 125,504 words, about 0.75 s, rank 2
-    at length 60 about 0.1 s, rank 10 at length 3 about 0.03 s and rank
-    40 at length 3, 167,520 words, about 2.6 s.
-    Raises :class:`OracleCapExceeded` as soon as more than ``node_cap``
-    canonical words are retained (default ``DEFAULT_ORACLE_CAP``,
-    overridable via the ``DISKSURGERY_ORACLE_CAP`` environment variable),
-    which happens exactly when the closure has more than ``node_cap``
-    words; the seeds count, and the check runs after each word of an
-    orbit. ``max_len`` and ``node_cap`` must be ints (``TypeError``
-    otherwise, bools included) of at least 1 (``ValueError`` otherwise).
+    small sizes. The work is one kernel call per expanded word and
+    generator of its support's rank, plus one relabelling per new orbit
+    and injective signed map of its support: a lookup per letter and a
+    least rotation. A signed permutation that fixes a cyclic word is
+    determined by the rotation it induces, so an orbit has at least one
+    word per ``max_len`` relabellings, and for a given ``max_len`` the
+    node cap bounds the work at every rank. On the pure kernels (one
+    core of a 2-core Xeon, Python 3.11, best of three in process) rank 3
+    at length 8, 32,338 words, takes about 0.18 s, rank 4 at length 7,
+    125,504 words, about 0.6 s, rank 2 at length 60 about 0.08 s, rank
+    10 at length 3 about 0.02 s and rank 40 at length 3, 167,520 words,
+    about 1.6 s, against 0.29, 1.26, 0.18, 0.05 and 4.4 s when the
+    relabellings went through the kernel.
+
+    Two bounds end the closure with :class:`OracleCapExceeded`:
+
+    * the node cap, as soon as more than ``node_cap`` canonical words are
+      retained (default ``DEFAULT_ORACLE_CAP``, overridable via the
+      ``DISKSURGERY_ORACLE_CAP`` environment variable), which happens
+      exactly when the closure has more than ``node_cap`` words; the
+      seeds count, and the check runs after each word of an orbit;
+    * the letter budget, as soon as the retained words hold more than
+      ``ORACLE_LETTER_BUDGET`` letters (``2**25``, about 33.6 million),
+      checked after each orbit, all of whose words have its image's
+      length. Kept words cost about 8 bytes a letter, so this holds the
+      closure to about 300 MiB. At rank 2, length 345 (144,928 words,
+      33.4 million letters) is the longest closure within it.
+
+    ``max_len`` and ``node_cap`` must be ints (``TypeError`` otherwise,
+    bools included) of at least 1 (``ValueError`` otherwise).
     """
     check_rank(rank)
     if not isinstance(max_len, int) or isinstance(max_len, bool):
@@ -747,20 +792,30 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
             tables[size] = list(_relabellings(rank, size))
         return tables[size]
 
-    seen, level = set(), {}
+    # The seeds: the orbit of x1, every word of length one.
+    seen = {(sign * i,) for i in range(1, rank + 1) for sign in (1, -1)}
+    kept = len(seen)  # letters, summed over the words
+    level = {2: [(1,)]} if max_len > 1 else {}
 
     def add_orbit(image):
+        nonlocal kept
         # The renamed form is also the word the next level expands, under
         # the generators of rank min(s + 1, rank) for a support of s.
         renamed, names = _rename_support(image)
-        for table in relabellings(len(names)):
-            seen.add(canonical(renamed, table, max_len))
+        before = len(seen)
+        for word in _relabel(renamed, relabellings(len(names))):
+            seen.add(word)
             if len(seen) > cap:
                 raise OracleCapExceeded(message, cap)
+        # Every word of an orbit is as long as its image.
+        kept += (len(seen) - before) * len(renamed)
+        if kept > ORACLE_LETTER_BUDGET:
+            raise OracleCapExceeded(
+                f"oracle closure exceeded ORACLE_LETTER_BUDGET = {ORACLE_LETTER_BUDGET} kept"
+                f" letters (rank {rank}, max_len {max_len})", ORACLE_LETTER_BUDGET)
         if len(renamed) < max_len:
             level.setdefault(min(len(names) + 1, rank), []).append(renamed)
 
-    add_orbit((1,))
     while level:
         frontier, level = level, {}
         for n, words in frontier.items():
@@ -769,7 +824,7 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
                     image = canonical(letters, images, max_len)
                     if image is not None and image not in seen:
                         add_orbit(image)
-    return frozenset(CyclicWord._from_canonical(letters) for letters in seen)
+    return frozenset(map(CyclicWord._from_canonical, seen))
 
 
 def _replay(current, certificate):

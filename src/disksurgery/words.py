@@ -168,8 +168,14 @@ class CyclicWord:
         that ``letters`` is exactly what construction would store.
         """
         cyclic = object.__new__(cls)
-        object.__setattr__(cyclic, "letters", letters)
+        _set_letters(cyclic, letters)
         return cyclic
+
+    def __hash__(self) -> int:
+        # CPython hashes -1 and -2 alike, so a tuple's hash cannot tell x1^-1
+        # from x2^-1: every word over those two letters of one length would
+        # share one hash. Their count of x1^-1 tells them apart.
+        return hash(self.letters) + self.letters.count(-1)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -191,10 +197,10 @@ class CyclicWord:
         """
         return CyclicWord._from_canonical(least_rotation([-a for a in reversed(self.letters)]))
 
-    def sort_key(self) -> tuple[int, ...]:
-        """Key ordering canonical cyclic words lexicographically."""
-        return tuple(letter_key(a) for a in self.letters)
 
+# The slot's own setter: the frozen class's __setattr__ refuses, and going
+# through object.__setattr__ looks the slot up again on every wrap.
+_set_letters = CyclicWord.letters.__set__
 
 _TOKEN = re.compile(r"^x([0-9]+)(\^-1)?$")
 # An index of more digits than MAX_RANK exceeds every rank; ``int`` refuses

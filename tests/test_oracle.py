@@ -15,7 +15,7 @@ import sys
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from disksurgery import (
     CyclicWord,
@@ -24,6 +24,8 @@ from disksurgery import (
     oracle_primitives,
     primitivity,
 )
+from disksurgery._kernels import letter_key
+from disksurgery.cli import _letter_order
 from disksurgery.primitivity import OracleCapExceeded, enumerate_whitehead_autos
 from helpers import (
     child_env, first_kind_auto, first_kind_generators, image_table, limit_cpu_and_memory,
@@ -87,6 +89,22 @@ def orbit_representatives(words, rank):
     return representatives
 
 
+def count_relabellings(monkeypatch):
+    """Patch ``primitivity._relabel`` to record each orbit it is asked
+    for: its word and the letter tables consumed, which stop short of
+    all of them when the cap fires partway through the orbit."""
+    orbits = []
+    relabel = primitivity._relabel
+
+    def counted(letters, tables):
+        used = []
+        orbits.append((letters, used))
+        return relabel(letters, (used.append(table) or table for table in tables))
+
+    monkeypatch.setattr(primitivity, "_relabel", counted)
+    return orbits
+
+
 @pytest.mark.parametrize("rank,max_len", [(2, 12), (3, 4), (3, 1), (5, 3)])
 def test_work_is_expanded_words_times_generators(rank, max_len, monkeypatch):
     # One word per signed-permutation orbit is expanded, under the
@@ -98,54 +116,92 @@ def test_work_is_expanded_words_times_generators(rank, max_len, monkeypatch):
     kernel = primitivity.apply_images_canonical
 
     def counted(letters, images, *rest):
-        calls.append(not is_relabelling(images))
+        calls.append(images)
         return kernel(letters, images, *rest)
 
     monkeypatch.setattr(primitivity, "apply_images_canonical", counted)
+    orbits = count_relabellings(monkeypatch)
     closure = oracle_primitives(rank, max_len)
     monkeypatch.undo()
     representatives = orbit_representatives(closure, rank)
     supports = [(len(cyclic), len({abs(x) for x in cyclic.letters})) for cyclic in representatives]
     ranks = [min(s + 1, rank) for length, s in supports if length < max_len]
-    assert sum(calls) == sum(n * (4 ** (n - 1) - 2) for n in ranks)
-    # Each orbit, the seeds' included, is added once, by one call per
-    # injective signed map of its support.
-    assert len(calls) - sum(calls) == sum(math.perm(rank, s) << s for _, s in supports)
+    # The kernel only expands; no relabelling goes through it.
+    assert not any(map(is_relabelling, calls))
+    assert len(calls) == sum(n * (4 ** (n - 1) - 2) for n in ranks)
+    # Each orbit but the seeds' is added once, by one relabelling per
+    # injective signed map of its support; the seeds, every word of
+    # length one, are added without any.
+    assert len(orbits) == len(supports) - 1
+    assert sum(len(used) for _, used in orbits) == \
+        sum(math.perm(rank, s) << s for length, s in supports if length > 1)
+
+
+def letter_images(table):
+    """The image table, in letter_key order, of a letter table over x1..x_s."""
+    return tuple((table[x],) for i in range(1, len(table) // 2 + 1) for x in (i, -i))
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_relabellings_are_the_signed_maps_of_a_support(rank):
-    # Each table is the first 2 * size slots of a signed permutation's
-    # table, every signed permutation gives one, and none repeats.
+    # Each letter table, read as an image table, is the first 2 * size
+    # slots of a signed permutation's table, every signed permutation
+    # gives one, and none repeats. Slot -i holds the inverse of slot i.
     whole = {first_kind_auto(rank, perm, signs).images
              for perm in itertools.permutations(range(1, rank + 1))
              for signs in itertools.product((1, -1), repeat=rank)}
     for size in range(1, rank + 1):
         tables = list(primitivity._relabellings(rank, size))
         assert len(tables) == math.perm(rank, size) << size
-        assert set(tables) == {images[:2 * size] for images in whole}
+        assert {len(table) for table in tables} == {2 * size + 1}
+        assert all(table[-i] == -table[i] for table in tables for i in range(1, size + 1))
+        assert {letter_images(table) for table in tables} == {images[:2 * size] for images in whole}
 
 
 def test_cap_fires_inside_an_orbit(monkeypatch):
     # The first new orbit at rank 8 is that of x1 x2: 112 words from 224
     # maps. With 16 seeds and a cap of 100, the check must fire partway
     # through it, not after it.
-    relabellings = []
-    kernel = primitivity.apply_images_canonical
-
-    def counted(letters, images, *rest):
-        if is_relabelling(images):
-            relabellings.append((letters, images))
-        return kernel(letters, images, *rest)
-
-    monkeypatch.setattr(primitivity, "apply_images_canonical", counted)
+    orbits = count_relabellings(monkeypatch)
     with pytest.raises(OracleCapExceeded, match="exceeded 100 canonical words"):
         oracle_primitives(8, 2, node_cap=100)
-    seeds = [images for letters, images in relabellings if letters == (1,)]
-    orbit = [images for letters, images in relabellings if letters != (1,)]
-    assert len(seeds) == 16
-    assert {len(images) for images in orbit} == {4}
-    assert 85 <= len(orbit) < math.perm(8, 2) << 2
+    [(letters, used)] = orbits
+    assert letters == (1, 2)
+    assert {len(table) for table in used} == {5}
+    assert 85 <= len(used) < math.perm(8, 2) << 2
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 5).flatmap(lambda rank: st.tuples(
+    st.just(rank), st.lists(st.integers(-rank, rank).filter(bool), min_size=2, max_size=30))),
+    st.randoms(use_true_random=False))
+def test_relabel_is_the_kernel_on_single_letter_tables(backend, case, rand):
+    # On a cyclically reduced word over x1..x_s, a letter table gives the
+    # kernel's canonical image under the equivalent single-letter table.
+    rank, letters = case
+    letters = primitivity.cyclic_reduce(letters)
+    assume(len(letters) > 1)
+    size = max(map(abs, letters))
+    tables = list(primitivity._relabellings(rank, size))
+    tables = rand.sample(tables, min(len(tables), 8))
+    got = list(primitivity._relabel(letters, tables))
+    assert got == [primitivity.apply_images_canonical(letters, letter_images(table))
+                   for table in tables]
+
+
+def test_letter_budget_raises_past_its_constant(monkeypatch):
+    # Rank 2 at length 12 keeps 184 words of 1,500 letters. A budget just
+    # below that raises once the last orbit is added, one just at it does
+    # not.
+    assert sum(map(len, oracle_primitives(2, 12))) == 1500
+    monkeypatch.setattr(primitivity, "ORACLE_LETTER_BUDGET", 1500)
+    assert len(oracle_primitives(2, 12)) == 184
+    monkeypatch.setattr(primitivity, "ORACLE_LETTER_BUDGET", 1499)
+    with pytest.raises(OracleCapExceeded, match=r"exceeded ORACLE_LETTER_BUDGET = 1499 kept"
+                       r" letters \(rank 2, max_len 12\)") as raised:
+        oracle_primitives(2, 12)
+    assert raised.value.cap == 1499
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -207,6 +263,40 @@ def test_rank7_closure_without_a_table():
     words = lines[:-2]
     assert len(words) == 98
     assert {len(w.split()) for w in words} == {1, 2}
+
+
+BUDGET_PROBE = """
+import sys
+from disksurgery import primitivity
+from disksurgery.cli import main
+primitivity.ORACLE_LETTER_BUDGET = 10**5
+sys.exit(main(["oracle", "--rank", "2", "--max-len", "400"]))
+"""
+
+def test_letter_budget_exits_5_under_a_memory_limit():
+    # Rank 2 at length 400 is 194,712 words, below the node cap, but 51.9
+    # million letters: without the budget it ends in a MemoryError under
+    # 512 MiB. A budget lowered to 10**5 letters keeps the child quick;
+    # CI runs the command at the real budget under the same limit.
+    out = subprocess.run(
+        [sys.executable, "-c", BUDGET_PROBE], capture_output=True, text=True,
+        env=child_env("pure"), preexec_fn=partial(limit_cpu_and_memory, 10), timeout=60,
+    )
+    assert out.returncode == 5, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == ("error: oracle closure exceeded ORACLE_LETTER_BUDGET = 100000 kept"
+                          " letters (rank 2, max_len 400)\n")
+
+
+@pytest.mark.parametrize("rank,width", [(2, 1), (3, 1), (128, 1), (129, 2), (40000, 3)])
+def test_cli_order_is_the_letter_key_order(rank, width, rng):
+    # The oracle command sorts by byte keys; they order words as their
+    # tuples of letter keys do, at one byte a letter up to rank 128.
+    words = [CyclicWord(random_word(rng, rank, 12, 1).letters) for _ in range(300)]
+    words += [CyclicWord((rank,)), CyclicWord((-rank,)), CyclicWord((1,)), CyclicWord((-1, -rank))]
+    key = _letter_order(rank)
+    assert sorted(words, key=key) == sorted(words, key=lambda w: tuple(map(letter_key, w)))
+    assert len(key(CyclicWord((1, rank)))) == 2 * width
 
 
 def run_oracle(rank, max_len, **env):

@@ -192,6 +192,18 @@ class TestCyclic:
         for i in range(len(w)):
             assert w[i] != -w[(i + 1) % len(w)]
 
+    def test_words_over_two_inverses_hash_apart(self):
+        # CPython hashes -1 and -2 alike, so the letter tuple alone gives
+        # these 16 words of length 16 one hash, and a set of them compares
+        # each pair by __eq__.
+        words = {CyclicWord((-1,) * p + (-2,) * (16 - p)) for p in range(16)}
+        assert len({hash(w) for w in words}) == len(words) == 16
+
+    @given(letters(max_size=32))
+    def test_hash_follows_equality(self, seq):
+        w = CyclicWord(tuple(seq))
+        assert hash(w) == hash(CyclicWord._from_canonical(w.letters))
+
 
 class TestInvertConcat:
     def test_invert_example(self):
