@@ -1,8 +1,8 @@
 /* Compiled word kernels. Results match ``pyops``, the reference and the
  * fallback, and so do the exception types: ValueError for a letter the
- * image table (WhiteheadAuto.images) does not cover or a negative max_len,
- * TypeError for a table or image that is not a sequence, or a max_len
- * that is not an int or None.
+ * image table (one image per letter slot, in letter_key order) does not
+ * cover or a negative max_len, TypeError for a table or image that is not
+ * a sequence, or a max_len that is not an int or None.
  *
  * Letters are copied into C arrays of long. A value that does not fit, or
  * LONG_MIN, is rejected, so negating a letter never overflows, and every

@@ -35,8 +35,6 @@ from .surgery import (
 from .words import (
     MAX_RANK,
     WordSyntaxError,
-    _TOKEN,
-    _index,
     format_word,
     parse_word,
     unoriented_cyclic_class,
@@ -49,16 +47,9 @@ EXIT_INVALID = 4
 EXIT_CAP = 5
 
 
-def _infer_rank(text: str) -> int:
-    """The largest index among the tokens that are letters, from 2 up to
-    ``MAX_RANK``; ``parse_word`` reports the other tokens."""
-    indices = [_index(m.group(1)) for m in map(_TOKEN.match, text.split()) if m is not None]
-    return min(max([2] + indices), MAX_RANK)
-
-
 def _cmd_reduce(args) -> int:
-    rank = args.rank if args.rank is not None else _infer_rank(args.word)
-    word = parse_word(args.word, rank)
+    # Free reduction needs no rank; without one every index up to MAX_RANK parses.
+    word = parse_word(args.word, MAX_RANK if args.rank is None else args.rank)
     print(format_word(word.reduced()))
     return EXIT_OK
 

@@ -71,7 +71,6 @@ Two independent routes are provided and cross-checked by the test suite:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, permutations, product
@@ -92,8 +91,8 @@ __all__ = [
     "replay_certificate",
 ]
 
-DEFAULT_ORACLE_CAP = 10**6
-_ORACLE_CAP_ENV = "DISKSURGERY_ORACLE_CAP"
+# Canonical words the oracle's closure may keep.
+ORACLE_NODE_CAP = 10**6
 # Letters the oracle's closure may keep, summed over its words. The node
 # cap bounds the words, not their length: rank 2 at length 400 is 194,712
 # words but 51.9 million letters, about 8 bytes each.
@@ -592,24 +591,6 @@ def is_primitive(word: Word | CyclicWord, rank: int, *, use_oz: bool = True) -> 
     return whitehead_minimize(cyclic, rank, _checked=True)
 
 
-def _resolve_cap(node_cap: int | None) -> int:
-    source = "node_cap"
-    if node_cap is None:
-        raw = os.environ.get(_ORACLE_CAP_ENV)
-        if raw is None:
-            return DEFAULT_ORACLE_CAP
-        try:
-            node_cap = int(raw)
-        except ValueError:
-            raise ValueError(f"{_ORACLE_CAP_ENV}={raw!r} is not an integer") from None
-        source = _ORACLE_CAP_ENV
-    elif not isinstance(node_cap, int) or isinstance(node_cap, bool):
-        raise TypeError(f"node_cap must be an int, got {node_cap!r}")
-    if node_cap < 1:
-        raise ValueError(f"{source} must be >= 1, got {node_cap}")
-    return node_cap
-
-
 def _second_kind_images(rank: int):
     """Image tables of the second-kind ``(A, a)`` with ``a`` positive and
     ``1 < |A| < 2*rank - 1``, built from ``(a, A)`` one at a time.
@@ -652,7 +633,7 @@ def _relabel(letters, tables):
     return map(least_rotation, map(itemgetter(*letters), tables))
 
 
-def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -> frozenset[CyclicWord]:
+def oracle_primitives(rank: int, max_len: int) -> frozenset[CyclicWord]:
     """All primitive cyclic words of length at most ``max_len``.
 
     Breadth-first closure of the ``2*rank`` length-one classes
@@ -677,9 +658,9 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
       or checked against ``max_len``. There are
       ``2**s * rank! / (rank - s)!`` maps: 8 at rank 2 and ``s = 2``, 48
       at rank 3 and ``s = 3``. The tables of a support size are kept for
-      the call while there are at most ``node_cap`` of them, and made one
-      at a time otherwise. The seeds, the orbit of ``x1``, are the
-      ``2*rank`` words of length one.
+      the call while there are at most ``ORACLE_NODE_CAP`` of them, and
+      made one at a time otherwise. The seeds, the orbit of ``x1``, are
+      the ``2*rank`` words of length one.
     * *Expansion.* The renamed word is the one expanded, under the
       ``n * (4**(n - 1) - 2)`` second-kind generators of rank
       ``n = min(s + 1, rank)``: 4 for ``s = 1``, 42 for ``s = 2`` and 248
@@ -750,16 +731,14 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
     at length 8, 32,338 words, takes about 0.18 s, rank 4 at length 7,
     125,504 words, about 0.6 s, rank 2 at length 60 about 0.08 s, rank
     10 at length 3 about 0.02 s and rank 40 at length 3, 167,520 words,
-    about 1.6 s, against 0.29, 1.26, 0.18, 0.05 and 4.4 s when the
-    relabellings went through the kernel.
+    about 1.6 s.
 
     Two bounds end the closure with :class:`OracleCapExceeded`:
 
-    * the node cap, as soon as more than ``node_cap`` canonical words are
-      retained (default ``DEFAULT_ORACLE_CAP``, overridable via the
-      ``DISKSURGERY_ORACLE_CAP`` environment variable), which happens
-      exactly when the closure has more than ``node_cap`` words; the
-      seeds count, and the check runs after each word of an orbit;
+    * the node cap, as soon as more than ``ORACLE_NODE_CAP`` canonical
+      words (``10**6``) are retained, which happens exactly when the
+      closure has more than that many words; the seeds count, and the
+      check runs after each word of an orbit;
     * the letter budget, as soon as the retained words hold more than
       ``ORACLE_LETTER_BUDGET`` letters (``2**25``, about 33.6 million),
       checked after each orbit, all of whose words have its image's
@@ -767,15 +746,15 @@ def oracle_primitives(rank: int, max_len: int, *, node_cap: int | None = None) -
       closure to about 300 MiB. At rank 2, length 345 (144,928 words,
       33.4 million letters) is the longest closure within it.
 
-    ``max_len`` and ``node_cap`` must be ints (``TypeError`` otherwise,
-    bools included) of at least 1 (``ValueError`` otherwise).
+    ``max_len`` must be an int (``TypeError`` otherwise, bools
+    included) of at least 1 (``ValueError`` otherwise).
     """
     check_rank(rank)
     if not isinstance(max_len, int) or isinstance(max_len, bool):
         raise TypeError(f"max_len must be an int, got {max_len!r}")
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    cap = _resolve_cap(node_cap)
+    cap = ORACLE_NODE_CAP
     message = f"oracle closure exceeded {cap} canonical words (rank {rank}, max_len {max_len})"
     # Checked before the seeds are built, so a large rank cannot exhaust memory here.
     if 2 * rank > cap:

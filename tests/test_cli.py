@@ -56,8 +56,8 @@ class TestReduce:
         assert "error" in err
 
     def test_index_above_rank_bound_usage_error(self, capsys):
-        # The inferred rank is the largest index, capped at MAX_RANK; both
-        # backends stop here, before the word reaches a kernel.
+        # Without --rank the word is parsed at MAX_RANK; both backends
+        # stop here, before the word reaches a kernel.
         code, out, err = run(capsys, "reduce", f"x{2**70} x1")
         assert code == 2
         assert out == ""
@@ -176,18 +176,10 @@ class TestOracle:
             2 * int(t[1:].split("^")[0]) - 2 + t.endswith("^-1") for t in s.split()])
 
     def test_cap_exit_five(self, capsys, monkeypatch):
-        monkeypatch.setenv("DISKSURGERY_ORACLE_CAP", "2")
+        monkeypatch.setattr(primitivity, "ORACLE_NODE_CAP", 2)
         code, _, err = run(capsys, "oracle", "--rank", "2", "--max-len", "4")
         assert code == 5
         assert "exceeded" in err
-
-    @pytest.mark.parametrize("raw", ["0", "-3"])
-    def test_nonpositive_cap_usage_error(self, capsys, monkeypatch, raw):
-        monkeypatch.setenv("DISKSURGERY_ORACLE_CAP", raw)
-        code, out, err = run(capsys, "oracle", "--rank", "2", "--max-len", "4")
-        assert code == 2
-        assert out == ""
-        assert f"DISKSURGERY_ORACLE_CAP must be >= 1, got {raw}" in err
 
     @pytest.mark.parametrize("rank, max_len", [(2, 10), (3, 5)])
     def test_output_pinned(self, capsys, rank, max_len):

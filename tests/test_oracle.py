@@ -64,11 +64,13 @@ def test_skipped_entries_act_as_kept_ones(rank, rng):
 
 
 @pytest.mark.parametrize("rank,max_len", [(2, 6), (3, 4), (3, 1)])
-def test_cap_fires_exactly_above_closure_size(rank, max_len):
+def test_cap_fires_exactly_above_closure_size(rank, max_len, monkeypatch):
     size = len(reference_oracle(rank, max_len))
-    assert len(oracle_primitives(rank, max_len, node_cap=size)) == size
+    monkeypatch.setattr(primitivity, "ORACLE_NODE_CAP", size)
+    assert len(oracle_primitives(rank, max_len)) == size
+    monkeypatch.setattr(primitivity, "ORACLE_NODE_CAP", size - 1)
     with pytest.raises(OracleCapExceeded):
-        oracle_primitives(rank, max_len, node_cap=size - 1)
+        oracle_primitives(rank, max_len)
 
 
 def orbit_representatives(words, rank):
@@ -163,8 +165,9 @@ def test_cap_fires_inside_an_orbit(monkeypatch):
     # maps. With 16 seeds and a cap of 100, the check must fire partway
     # through it, not after it.
     orbits = count_relabellings(monkeypatch)
+    monkeypatch.setattr(primitivity, "ORACLE_NODE_CAP", 100)
     with pytest.raises(OracleCapExceeded, match="exceeded 100 canonical words"):
-        oracle_primitives(8, 2, node_cap=100)
+        oracle_primitives(8, 2)
     [(letters, used)] = orbits
     assert letters == (1, 2)
     assert {len(table) for table in used} == {5}
@@ -228,18 +231,13 @@ def test_closed_under_first_kind_and_inversion(case):
                    in closure for cyclic in closure), auto
 
 
-BAD_SIZES = [("max_len", value) for value in (1.0, 2.5, True, "3")] + \
-    [("node_cap", value) for value in (1.0, 2.5, True, "9")]
-
-
-@pytest.mark.parametrize("name, value", BAD_SIZES, ids=[
-    str(value) if name == "max_len" else f"{name}={value}" for name, value in BAD_SIZES])
-def test_max_len_must_be_an_int(name, value, monkeypatch):
+@pytest.mark.parametrize("value", [1.0, 2.5, True, "3"], ids=str)
+def test_max_len_must_be_an_int(value, monkeypatch):
     # Checked before any work, so max_len 1.0 cannot pass for 1 by making
-    # no kernel call, and a bad cap never reaches a comparison.
+    # no kernel call.
     monkeypatch.setattr(primitivity, "apply_images_canonical", None)
-    with pytest.raises(TypeError, match=f"{name} must be an int"):
-        oracle_primitives(2, **{"max_len": 2, name: value})
+    with pytest.raises(TypeError, match="max_len must be an int"):
+        oracle_primitives(2, value)
 
 
 RANK7_PROBE = """
@@ -265,27 +263,37 @@ def test_rank7_closure_without_a_table():
     assert {len(w.split()) for w in words} == {1, 2}
 
 
-BUDGET_PROBE = """
+BOUND_PROBE = """
 import sys
 from disksurgery import primitivity
 from disksurgery.cli import main
-primitivity.ORACLE_LETTER_BUDGET = 10**5
-sys.exit(main(["oracle", "--rank", "2", "--max-len", "400"]))
+primitivity.{} = {}
+sys.exit(main(["oracle", "--rank", "{}", "--max-len", "{}"]))
 """
+
 
 def test_letter_budget_exits_5_under_a_memory_limit():
     # Rank 2 at length 400 is 194,712 words, below the node cap, but 51.9
     # million letters: without the budget it ends in a MemoryError under
-    # 512 MiB. A budget lowered to 10**5 letters keeps the child quick;
-    # CI runs the command at the real budget under the same limit.
-    out = subprocess.run(
-        [sys.executable, "-c", BUDGET_PROBE], capture_output=True, text=True,
-        env=child_env("pure"), preexec_fn=partial(limit_cpu_and_memory, 10), timeout=60,
-    )
-    assert out.returncode == 5, out.stderr
-    assert out.stdout == ""
-    assert out.stderr == ("error: oracle closure exceeded ORACLE_LETTER_BUDGET = 100000 kept"
-                          " letters (rank 2, max_len 400)\n")
+    # 512 MiB. A budget lowered to 10**5 letters keeps the child quick,
+    # and so does a node cap of 100 at rank 8; CI runs both bounds at
+    # their real values under the same limit.
+    cases = [
+        ("ORACLE_LETTER_BUDGET", 10**5, 2, 400,
+         "error: oracle closure exceeded ORACLE_LETTER_BUDGET = 100000 kept"
+         " letters (rank 2, max_len 400)\n"),
+        ("ORACLE_NODE_CAP", 100, 8, 2,
+         "error: oracle closure exceeded 100 canonical words (rank 8, max_len 2)\n"),
+    ]
+    for bound, value, rank, max_len, stderr in cases:
+        out = subprocess.run(
+            [sys.executable, "-c", BOUND_PROBE.format(bound, value, rank, max_len)],
+            capture_output=True, text=True, env=child_env("pure"),
+            preexec_fn=partial(limit_cpu_and_memory, 10), timeout=60,
+        )
+        assert out.returncode == 5, (bound, out.stderr)
+        assert out.stdout == ""
+        assert out.stderr == stderr
 
 
 @pytest.mark.parametrize("rank,width", [(2, 1), (3, 1), (128, 1), (129, 2), (40000, 3)])
@@ -299,11 +307,11 @@ def test_cli_order_is_the_letter_key_order(rank, width, rng):
     assert len(key(CyclicWord((1, rank)))) == 2 * width
 
 
-def run_oracle(rank, max_len, **env):
+def run_oracle(rank, max_len):
     return subprocess.run(
         [sys.executable, "-m", "disksurgery.cli", "oracle", "--rank", str(rank),
          "--max-len", str(max_len)],
-        capture_output=True, text=True, env={**child_env("pure"), **env},
+        capture_output=True, text=True, env=child_env("pure"),
         preexec_fn=partial(limit_cpu_and_memory, 5), timeout=60,
     )
 
@@ -317,13 +325,6 @@ def test_rank8_closure_in_bounds():
     words = out.stdout.splitlines()
     assert len(words) == 128
     assert {len(w.split()) for w in words} == {1, 2}
-
-
-def test_rank8_cap_exits_5():
-    out = run_oracle(8, 2, DISKSURGERY_ORACLE_CAP="100")
-    assert out.returncode == 5, out.stderr
-    assert out.stdout == ""
-    assert out.stderr == "error: oracle closure exceeded 100 canonical words (rank 8, max_len 2)\n"
 
 
 @pytest.mark.parametrize("rank", range(2, 13))
@@ -351,19 +352,6 @@ def test_largest_rank_exits_5():
     assert out.stdout == ""
     assert out.stderr == ("error: oracle closure exceeded 1000000 canonical words"
                           " (rank 2147483647, max_len 2)\n")
-
-
-@pytest.mark.parametrize("node_cap", [0, -3])
-def test_nonpositive_cap_rejected(node_cap):
-    with pytest.raises(ValueError, match="node_cap must be >= 1"):
-        oracle_primitives(2, 4, node_cap=node_cap)
-
-
-@pytest.mark.parametrize("raw", ["0", "-3"])
-def test_nonpositive_cap_env_rejected(raw, monkeypatch):
-    monkeypatch.setenv("DISKSURGERY_ORACLE_CAP", raw)
-    with pytest.raises(ValueError, match="DISKSURGERY_ORACLE_CAP must be >= 1"):
-        oracle_primitives(2, 4)
 
 
 @pytest.mark.parametrize("rank,max_len", [(2, 7), (3, 3)])

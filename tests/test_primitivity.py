@@ -277,12 +277,8 @@ class TestOracle:
         assert CyclicWord(()) not in words
         assert CyclicWord((1, 1)) not in words
 
-    def test_cap_raises(self):
-        with pytest.raises(OracleCapExceeded):
-            oracle_primitives(2, 6, node_cap=3)
-
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv("DISKSURGERY_ORACLE_CAP", "3")
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(primitivity, "ORACLE_NODE_CAP", 3)
         with pytest.raises(OracleCapExceeded):
             oracle_primitives(2, 6)
 
