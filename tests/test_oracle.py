@@ -272,28 +272,33 @@ sys.exit(main(["oracle", "--rank", "{}", "--max-len", "{}"]))
 """
 
 
+def run_bound_probe(bound, value, rank, max_len):
+    return subprocess.run(
+        [sys.executable, "-c", BOUND_PROBE.format(bound, value, rank, max_len)],
+        capture_output=True, text=True, env=child_env("pure"),
+        preexec_fn=partial(limit_cpu_and_memory, 10), timeout=60,
+    )
+
+
 def test_letter_budget_exits_5_under_a_memory_limit():
     # Rank 2 at length 400 is 194,712 words, below the node cap, but 51.9
     # million letters: without the budget it ends in a MemoryError under
-    # 512 MiB. A budget lowered to 10**5 letters keeps the child quick,
-    # and so does a node cap of 100 at rank 8; CI runs both bounds at
-    # their real values under the same limit.
-    cases = [
-        ("ORACLE_LETTER_BUDGET", 10**5, 2, 400,
-         "error: oracle closure exceeded ORACLE_LETTER_BUDGET = 100000 kept"
-         " letters (rank 2, max_len 400)\n"),
-        ("ORACLE_NODE_CAP", 100, 8, 2,
-         "error: oracle closure exceeded 100 canonical words (rank 8, max_len 2)\n"),
-    ]
-    for bound, value, rank, max_len, stderr in cases:
-        out = subprocess.run(
-            [sys.executable, "-c", BOUND_PROBE.format(bound, value, rank, max_len)],
-            capture_output=True, text=True, env=child_env("pure"),
-            preexec_fn=partial(limit_cpu_and_memory, 10), timeout=60,
-        )
-        assert out.returncode == 5, (bound, out.stderr)
-        assert out.stdout == ""
-        assert out.stderr == stderr
+    # 512 MiB. A budget lowered to 10**5 letters keeps the child quick;
+    # CI runs the command at the real budget under the same limit.
+    out = run_bound_probe("ORACLE_LETTER_BUDGET", 10**5, 2, 400)
+    assert out.returncode == 5, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == ("error: oracle closure exceeded ORACLE_LETTER_BUDGET = 100000 kept"
+                          " letters (rank 2, max_len 400)\n")
+
+
+def test_rank8_cap_exits_5():
+    # A node cap of 100 is passed at rank 8, where the closure has 128
+    # words; CI runs the real cap at rank 1000 under the same limit.
+    out = run_bound_probe("ORACLE_NODE_CAP", 100, 8, 2)
+    assert out.returncode == 5, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == "error: oracle closure exceeded 100 canonical words (rank 8, max_len 2)\n"
 
 
 @pytest.mark.parametrize("rank,width", [(2, 1), (3, 1), (128, 1), (129, 2), (40000, 3)])
