@@ -15,9 +15,10 @@ and the pure-Python reference ``pyops``. Both export the same kernels:
   canonical cyclic form, or ``None`` without any rotation when the cyclic
   reduction is longer than ``max_len``.
 
-The compiled core is picked at import time when built; set
-``DISKSURGERY_KERNEL=pure`` or ``=compiled`` to force a backend (forcing
-``compiled`` raises if the extension was not built).
+At import time the backend named by ``DISKSURGERY_KERNEL`` (``pure`` or
+``compiled``) is loaded through :func:`load_backend`; forcing ``compiled``
+raises if the extension was not built. Unset or empty, the compiled core
+is loaded when built and ``pyops`` otherwise.
 """
 
 import os
@@ -28,22 +29,16 @@ _ENV_VAR = "DISKSURGERY_KERNEL"
 _BACKENDS = ("pure", "compiled")
 
 
-def _load_compiled():
-    from . import _core
-
-    return _core
-
-
 def _select():
     choice = os.environ.get(_ENV_VAR, "").strip().lower()
-    if choice == "":
-        try:
-            return _load_compiled()
-        except ImportError:
-            return pyops
-    if choice not in _BACKENDS:
+    if choice and choice not in _BACKENDS:
         raise ValueError(f"{_ENV_VAR}={choice!r}: expected one of {_BACKENDS}")
-    return load_backend(choice)
+    try:
+        return load_backend(choice or "compiled")
+    except ImportError:
+        if choice:
+            raise
+    return pyops
 
 
 def load_backend(name):
@@ -51,18 +46,18 @@ def load_backend(name):
     if name == "pure":
         return pyops
     if name == "compiled":
-        return _load_compiled()
+        from . import _core
+
+        return _core
     raise ValueError(f"unknown kernel backend {name!r}")
 
 
 def available_backends():
-    names = ["pure"]
     try:
-        _load_compiled()
-        names.append("compiled")
+        load_backend("compiled")
     except ImportError:
-        pass
-    return names
+        return ["pure"]
+    return ["pure", "compiled"]
 
 
 _impl = _select()

@@ -161,6 +161,11 @@ substitute(PyObject *const *args, Py_ssize_t *len_out)
             PyErr_SetString(PyExc_ValueError, "letter 0 has no image");
             goto done;
         }
+    if (n == 0) {  /* no letter reads the table, so it is not checked */
+        *len_out = 0;
+        out = PyMem_New(long, 1);
+        goto done;
+    }
     if (!PySequence_Check(args[1])) {
         PyErr_SetString(PyExc_TypeError, "the image table must be a sequence");
         goto done;

@@ -8,6 +8,7 @@ letter budget hit.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from ._kernels import letter_key
@@ -27,14 +28,12 @@ from .scenarios import (
     save_scenario,
 )
 from .surgery import (
-    DisjointDisksError,
     InvalidSystemError,
     _outcomes,
     validate_system,
 )
 from .words import (
     MAX_RANK,
-    WordSyntaxError,
     format_word,
     parse_word,
     unoriented_cyclic_class,
@@ -157,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="freely reduce a word")
     p.add_argument("word")
     p.add_argument("--rank", type=int, default=None,
-                   help="ambient rank (default: inferred from the word)")
+                   help=f"ambient rank (default: every index up to {MAX_RANK})")
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("primitive", help="test a word for primitivity")
@@ -198,16 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = None
+_parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
     """Run one command; the parser is built on the first call and reused."""
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
@@ -218,7 +214,7 @@ def main(argv=None) -> int:
     except OracleCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (WordSyntaxError, DisjointDisksError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

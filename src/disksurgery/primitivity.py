@@ -285,7 +285,7 @@ class PrimitivityVerdict:
     is empty when the fast path fired (``minimal`` is then just the
     cyclic reduction, not necessarily the orbit minimum). So an empty
     certificate means ``minimal`` is the input's own canonical cyclic
-    form, which closure reports rely on.
+    form.
     """
 
     primitive: bool

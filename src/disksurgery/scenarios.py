@@ -27,6 +27,7 @@ transcription serves any genus >= 3 by raising the rank.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from importlib import resources
 
 from .surgery import DiskPairSystem
@@ -76,23 +77,22 @@ def _word_list(data, path: str, rank: int) -> tuple[Word, ...]:
     return tuple(words)
 
 
+# The schema's fields in file order; every one but the last, ``meta``, is required.
+_FIELDS = ("rank", "points", "order_d", "order_e", "chords", "labels_d", "labels_e", "meta")
+
+
 def loads_scenario(text: str) -> DiskPairSystem:
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ScenarioFormatError(f"not valid JSON: {exc}") from exc
-    return _from_dict(data)
-
-
-def _from_dict(data) -> DiskPairSystem:
     if not isinstance(data, dict):
         _fail("$", f"expected an object, got {type(data).__name__}")
-    for name in ("rank", "points", "order_d", "order_e", "chords", "labels_d", "labels_e"):
+    for name in _FIELDS[:-1]:
         if name not in data:
             _fail(name, "missing required field")
-    known = {"rank", "points", "order_d", "order_e", "chords", "labels_d", "labels_e", "meta"}
     for name in data:
-        if name not in known:
+        if name not in _FIELDS:
             _fail(name, "unknown field")
 
     rank = data["rank"]
@@ -158,11 +158,6 @@ def save_scenario(system: DiskPairSystem, path) -> None:
         handle.write(dumps_scenario(system))
 
 
-def _load_builtin_data(name: str) -> DiskPairSystem:
-    text = resources.files("disksurgery").joinpath(f"data/{name}.json").read_text("utf-8")
-    return loads_scenario(text)
-
-
 def builtin_scenario(name: str, genus: int) -> DiskPairSystem:
     """A built-in disk pair at the requested genus.
 
@@ -173,10 +168,6 @@ def builtin_scenario(name: str, genus: int) -> DiskPairSystem:
         raise ValueError(f"unknown built-in scenario {name!r}; known: {BUILTIN_SCENARIOS}")
     if not isinstance(genus, int) or not 3 <= genus <= MAX_RANK:
         raise ValueError(f"genus must be an integer >= 3 and <= {MAX_RANK}, got {genus!r}")
-    base = _load_builtin_data(name)
-    meta = dict(base.meta)
-    meta["genus"] = genus
-    return DiskPairSystem(
-        rank=genus, points=base.points, order_d=base.order_d, order_e=base.order_e,
-        chords=base.chords, labels_d=base.labels_d, labels_e=base.labels_e, meta=meta,
-    )
+    text = resources.files("disksurgery").joinpath(f"data/{name}.json").read_text("utf-8")
+    base = loads_scenario(text)
+    return replace(base, rank=genus, meta={**base.meta, "genus": genus})

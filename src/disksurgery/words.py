@@ -89,8 +89,27 @@ def _validated(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(map(int, out)) if bool in map(type, out) else out
 
 
-@dataclass(frozen=True, slots=True)
-class Word:
+class _Letters:
+    """The sequence protocol and the text forms of :class:`Word` and
+    :class:`CyclicWord`, read from their ``letters``."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.letters)
+
+    def __str__(self) -> str:
+        return format_word(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({format_word(self)!r})"
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class Word(_Letters):
     """A finite, possibly unreduced sequence of letters.
 
     >>> str(Word((1, -2)))
@@ -115,21 +134,9 @@ class Word:
         object.__setattr__(word, "letters", letters)
         return word
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
     def __mul__(self, other: "Word") -> "Word":
         """Juxtaposition, not reduced."""
         return Word._from_valid(self.letters + other.letters)
-
-    def __str__(self) -> str:
-        return format_word(self)
-
-    def __repr__(self) -> str:
-        return f"Word({format_word(self)!r})"
 
     def reduced(self) -> "Word":
         """The unique freely reduced word equal to this one."""
@@ -144,8 +151,8 @@ class Word:
         return CyclicWord._from_canonical(canonical_cyclic(self.letters))
 
 
-@dataclass(frozen=True, slots=True)
-class CyclicWord:
+@dataclass(frozen=True, slots=True, repr=False)
+class CyclicWord(_Letters):
     """Canonical cyclic form: cyclically reduced, least rotation.
 
     Construction canonicalizes, so any representative of the conjugacy
@@ -176,18 +183,6 @@ class CyclicWord:
         # from x2^-1: every word over those two letters of one length would
         # share one hash. Their count of x1^-1 tells them apart.
         return hash(self.letters) + self.letters.count(-1)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.letters)
-
-    def __str__(self) -> str:
-        return format_word(self)
-
-    def __repr__(self) -> str:
-        return f"CyclicWord({format_word(self)!r})"
 
     def inverse(self) -> "CyclicWord":
         """Canonical form of the inverse class.

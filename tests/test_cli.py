@@ -68,6 +68,13 @@ class TestReduce:
         assert (code, out) == (2, "")
         assert err == f"error: token 2: generator index 3000000000 exceeds rank {MAX_RANK}\n"
 
+    def test_help_states_the_default_rank(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--help")
+        assert code == 0
+        # argparse wraps help text to the terminal width.
+        assert f"(default: every index up to {MAX_RANK})" in " ".join(out.split())
+        assert "inferred" not in out
+
 
 # Tokens that `\d` matched: Arabic-Indic one and superscript two.
 NON_ASCII_DIGITS = ["x\u0661", "x\u00b2"]

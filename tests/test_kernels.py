@@ -142,6 +142,18 @@ class TestMaxLen:
                 getattr(kernel, kernel_name)((1, 2), images=image_table(auto))
 
 
+@pytest.mark.parametrize("kernel_name,args", [
+    ("apply_images", (None,)),
+    ("apply_images", (7,)),
+    ("apply_images", ({0: (1,)},)),
+    ("apply_images_canonical", (None,)),
+    ("apply_images_canonical", (None, 0)),
+])
+def test_empty_word_reads_no_table(compiled, kernel_name, args):
+    for kernel in (pure, compiled):
+        assert getattr(kernel, kernel_name)((), *args) == ()
+
+
 def test_backends_export_the_same_kernels(compiled):
     names = ("BACKEND", "free_reduce", "cyclic_reduce", "canonical_cyclic", "least_rotation",
              "apply_images", "apply_images_canonical")

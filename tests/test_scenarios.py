@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from disksurgery import (
     validate_system,
 )
 from helpers import disjoint_system, random_system
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestRoundTrip:
@@ -141,6 +144,15 @@ class TestBuiltin:
 
     def test_genus_recorded_in_meta(self):
         assert builtin_scenario("fig1", 5).meta["genus"] == 5
+
+    @pytest.mark.parametrize("genus", range(3, 9))
+    def test_dumps_pinned(self, genus):
+        # The genus changes only the rank and the genus recorded in meta.
+        golden = (GOLDEN / "scenario_fig1_genus3.json").read_text("utf-8")
+        assert golden.count('"rank": 3,') == golden.count('"genus": 3,') == 1
+        want = golden.replace('"rank": 3,', f'"rank": {genus},').replace(
+            '"genus": 3,', f'"genus": {genus},')
+        assert dumps_scenario(builtin_scenario("fig1", genus)) == want
 
 
 def six_label_data():

@@ -205,6 +205,20 @@ class TestCyclic:
         assert hash(w) == hash(CyclicWord._from_canonical(w.letters))
 
 
+class TestTextForms:
+    @pytest.mark.parametrize("word,shown,text,letters", [
+        (Word((1, -2)), "Word('x1 x2^-1')", "x1 x2^-1", [1, -2]),
+        (Word(), "Word('1')", "1", []),
+        (CyclicWord((2, 1, 2, -2)), "CyclicWord('x1 x2')", "x1 x2", [1, 2]),
+        (CyclicWord((1, -1)), "CyclicWord('1')", "1", []),
+    ])
+    def test_repr_str_len_iter(self, word, shown, text, letters):
+        assert repr(word) == shown
+        assert str(word) == text
+        assert len(word) == len(letters)
+        assert list(iter(word)) == letters
+
+
 class TestInvertConcat:
     def test_invert_example(self):
         assert format_word(parse_word("x1 x2^-1", 2).inverse()) == "x2 x1^-1"
