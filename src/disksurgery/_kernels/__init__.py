@@ -17,7 +17,8 @@ and the pure-Python reference ``pyops``. Both export the same kernels:
 
 At import time the backend named by ``DISKSURGERY_KERNEL`` (``pure`` or
 ``compiled``) is loaded through :func:`load_backend`; forcing ``compiled``
-raises if the extension was not built. Unset or empty, the compiled core
+raises an ``ImportError`` that names the variable and the build command
+if the extension was not built. Unset or empty, the compiled core
 is loaded when built and ``pyops`` otherwise.
 """
 
@@ -35,9 +36,12 @@ def _select():
         raise ValueError(f"{_ENV_VAR}={choice!r}: expected one of {_BACKENDS}")
     try:
         return load_backend(choice or "compiled")
-    except ImportError:
+    except ImportError as exc:
         if choice:
-            raise
+            raise ImportError(
+                f"{_ENV_VAR}=compiled, but the compiled core disksurgery._kernels._core"
+                " cannot be imported; build it with `python setup.py build_ext --inplace`"
+                f", or unset {_ENV_VAR} to use the pure-Python kernels") from exc
     return pyops
 
 

@@ -76,8 +76,10 @@ from functools import lru_cache
 from itertools import chain, islice, permutations, product
 from operator import itemgetter
 
-from ._kernels import (apply_images, apply_images_canonical, cyclic_reduce, least_rotation,
-                       letter_key)
+from ._kernels import apply_images, apply_images_canonical, least_rotation, letter_key
+# Unused here since each step strips its image's ends itself; layerbench/tracer.py
+# and the tests' reference descent reach the kernel through this module.
+from ._kernels import cyclic_reduce  # noqa: F401
 from .words import CyclicWord, Word, check_rank, check_support, format_letter
 
 __all__ = [
@@ -263,14 +265,21 @@ def _named(letters, names):
     return [names[x - 1] if x > 0 else -names[-x - 1] for x in letters]
 
 
+# Steps over supports of at most this many generators are kept by _step.
+_CACHED_SUPPORT = 6
+
+
 @lru_cache(maxsize=512)
 def _step(rank, names, multiplier, members):
     """The image table of the renamed step ``(members, multiplier)`` over
     the ``s = len(names)`` generators of its support, and the step's
     certificate entry: the table entry at ``rank`` for it mapped back.
 
-    Steps recur across words, so the last 512 are kept: at most 512
-    tables of ``2s`` slots, none sized by the rank.
+    Steps recur across words, so the last 512 over supports of at most
+    ``_CACHED_SUPPORT`` (6) generators are kept: at most 512 tables of 12
+    slots, whatever the rank or the word. A step over a wider support is
+    built by ``_step.__wrapped__`` and not kept, as its table has ``2s``
+    slots.
     """
     return (_second_images(len(names), multiplier, members),
             _second_auto(rank, names[multiplier - 1], frozenset(_named(members, names))))
@@ -294,94 +303,190 @@ class PrimitivityVerdict:
     oz_fired: bool = False
 
 
+class _SparseRow(dict):
+    """A row of a Whitehead graph on more than ``_DENSE_VERTICES``
+    vertices: each neighbour's edge count, and 0 for any other vertex."""
+
+    __slots__ = ()
+
+    def __missing__(self, vertex):
+        return 0
+
+
+# Whitehead graphs on at most this many vertices (supports of at most 6
+# generators) keep dense rows; larger ones keep sparse rows.
+_DENSE_VERTICES = 12
+
+
 def _whitehead_graph(letters):
     """Whitehead graph of a cyclically reduced word of length at least 2
-    over ``x1..x_s``, its support renamed as :func:`_rename_support` does.
+    over ``x1..x_s``, its support renamed as :func:`_rename_support` does,
+    and the degree of each vertex.
 
     Vertex ``letter_key(x)`` is the letter ``x``, so the inverse of vertex
     ``v`` is ``v ^ 1``. Each cyclic position ``i`` adds one edge between
     ``w[i]`` and ``w[i+1]^-1``; there are no loops, as the word is
-    cyclically reduced. Returns the symmetric edge-count matrix.
+    cyclically reduced. The rows hold the symmetric edge counts: lists of
+    ``2s`` counts up to ``_DENSE_VERTICES`` (12) vertices, and above that
+    :class:`_SparseRow` dicts of the neighbours alone, so the graph takes
+    memory linear in the word. A vertex's degree counts the occurrences of
+    its letter and of the inverse, read off the same pass.
     """
     keys = [a + a - 2 if a > 0 else -a - a - 1 for a in letters]  # letter_key, inlined
     size = (max(keys) | 1) + 1
-    adj = [[0] * size for _ in range(size)]
+    if size <= _DENSE_VERTICES:
+        adj = [[0] * size for _ in range(size)]
+    else:
+        adj = [_SparseRow() for _ in range(size)]
+    count = [0] * size
     prev = keys[-1]
     for v in keys:
         adj[prev][v ^ 1] += 1
         adj[v ^ 1][prev] += 1
+        count[v] += 1
         prev = v
-    return adj
+    return adj, [count[v] + count[v ^ 1] for v in range(size)]
+
+
+def _augment(adj, residual, sources, sinks, flow, limit, log=None):
+    """Augments a flow of ``flow`` units in the Whitehead graph ``adj``
+    from the vertices ``sources`` to the set ``sinks``, until it carries
+    ``limit`` units or no augmenting path is left, and returns the units
+    it then carries.
+
+    Each edge carries its count in either direction. ``residual`` holds
+    the residual rows that the flow has changed, each copied from ``adj``
+    when first changed, so no flow copies the graph, and a flow grows
+    from where it stopped when the sources or sinks grow. Augmenting
+    paths are found breadth-first from every source at once, over a
+    row's neighbours alone when it is sparse. Each push along an edge is
+    appended to ``log`` as ``(u, v, units)``, when given, so that it can
+    be undone.
+    """
+    dense = type(adj[0]) is list
+    items = enumerate if dense else dict.items
+    copy = list if dense else _SparseRow
+    while flow < limit:
+        parent = dict.fromkeys(sources)
+        queue = list(sources)
+        end = None
+        for u in queue:
+            for v, units in items(residual.get(u, adj[u])):
+                if units and v not in parent:
+                    parent[v] = u
+                    if v in sinks:
+                        end = v
+                        break
+                    queue.append(v)
+            if end is not None:
+                break
+        if end is None:
+            return flow
+        path = []
+        v = end
+        while (u := parent[v]) is not None:
+            path.append((u, v))
+            v = u
+        push = min(limit - flow, *[residual.get(u, adj[u])[v] for u, v in path])
+        for u, v in path:
+            for x in (u, v):
+                if x not in residual:
+                    residual[x] = copy(adj[x])
+            residual[u][v] -= push
+            residual[v][u] += push
+        if log is not None:
+            log += [(u, v, push) for u, v in path]
+        flow += push
+    return flow
 
 
 def _flow_reaches(adj, source, sink, limit):
-    """Whether a maximum ``source``-``sink`` flow in ``adj`` reaches ``limit``.
+    """Whether a maximum ``source``-``sink`` flow in ``adj`` reaches ``limit``."""
+    return _augment(adj, {}, [source], {sink}, 0, limit) >= limit
 
-    Augmenting paths found breadth-first, stopping once ``limit`` units
-    flow; each edge carries its count in either direction.
+
+# Bounds on a multiplier's letter-set masks; see _reducing_step.
+_SCAN_ONLY_MASKS = 1 << 6
+_SCAN_BITS = 10
+_SCAN_MASKS = 1 << _SCAN_BITS
+
+
+# Every mask value a scan reads, made once, so that plans share them.
+_MASK_VALUES = tuple(range(_SCAN_MASKS))
+
+
+@lru_cache(maxsize=None)
+def _scan_plan(skip, n):
+    """The mask scan over ``n`` candidate member vertices: the vertices
+    below ``n + 2`` other than ``skip`` and ``skip + 1``, and a tuple per
+    mask from 1 up to ``2**n - 1``.
+
+    A mask with lowest member ``v`` and second-lowest ``u`` gives the
+    three smaller masks that inclusion-exclusion reads, the mask without
+    ``v``, without ``u`` and without both, then ``u`` and ``v``. A mask of
+    one member ``v`` gives ``(0, 0, 0, -1, v)``. The bit arithmetic
+    depends only on ``n`` and on which two vertices are skipped, never on
+    the word, so it is done once here. ``n`` is at most ``_SCAN_BITS``
+    and ``skip`` at most ``n``, as a multiplier past the first ``n``
+    vertices skips none of them: there are at most 21 plans, whatever the
+    rank. A mask whose lowest two members are below ``skip`` has the same
+    tuple as in the plan that skips none (``skip = n``), which lends it,
+    so the plans of one ``n`` share most of their tuples.
     """
-    size = len(adj)
-    residual = [row[:] for row in adj]
-    flow = 0
-    while flow < limit:
-        parent = [-1] * size
-        parent[source] = source
-        queue = [source]
-        for u in queue:
-            row = residual[u]
-            for v in range(size):
-                if row[v] and parent[v] < 0:
-                    parent[v] = u
-                    queue.append(v)
-            if parent[sink] >= 0:
-                break
-        if parent[sink] < 0:
-            return False
-        push, v = limit - flow, sink
-        while v != source:
-            push = min(push, residual[parent[v]][v])
-            v = parent[v]
-        v = sink
-        while v != source:
-            residual[parent[v]][v] -= push
-            residual[v][parent[v]] += push
-            v = parent[v]
-        flow += push
-    return True
-
-
-def _first_reducing_set(adj, degree, a, stop=None):
-    """First letter set, in table mask order, that shortens the word with
-    multiplier vertex ``a``, among the masks below ``stop`` (all masks by
-    default).
-
-    Returns the member vertices other than ``a`` and ``cap(A) - deg(a)``,
-    which is negative. Bit ``k`` of a mask stands for the ``k``-th vertex
-    other than ``a`` and ``a^-1``. Masks run upwards, and the edges inside
-    ``A`` come from three smaller masks by inclusion-exclusion over the
-    two lowest bits, so each mask costs O(1). Returns ``None`` when no
-    mask scanned reduces.
-    """
-    others = [v for v in range(len(adj)) if v >> 1 != a >> 1]
-    masks = 1 << len(others)
-    inside = [0]  # edges with both ends in A = {a} + members of the mask
-    weight = [0]  # sum of the members' degrees, a excluded
-    for mask in range(1, masks if stop is None else min(stop, masks)):
+    others = [*range(skip), *range(skip + 2, n + 2)]
+    shared = _scan_plan(n, n)[1] if skip < n else None
+    plan = []
+    for mask in range(1, 1 << n):
         low = mask & -mask
         rest = mask ^ low
-        v = others[low.bit_length() - 1]
-        if rest:
-            second = rest & -rest
-            u = others[second.bit_length() - 1]
-            edges = inside[rest] + inside[mask ^ second] - inside[rest ^ second] + adj[u][v]
+        second = rest & -rest
+        if shared and (second or low) >> skip == 0:
+            plan.append(shared[mask - 1])
+        elif rest:
+            plan.append((_MASK_VALUES[rest], _MASK_VALUES[mask ^ second],
+                         _MASK_VALUES[rest ^ second], others[second.bit_length() - 1],
+                         others[low.bit_length() - 1]))
         else:
-            edges = adj[a][v]
-        total = weight[rest] + degree[v]
-        inside.append(edges)
-        weight.append(total)
-        # cap(A) - deg(a) = (deg(a) + total - 2 * edges) - deg(a)
-        if total < 2 * edges:
-            return [v for k, v in enumerate(others) if mask >> k & 1], total - 2 * edges
+            plan.append((0, 0, 0, -1, others[low.bit_length() - 1]))
+    return others, plan
+
+
+def _first_reducing_set(adj, degree, a):
+    """First letter set, in table mask order, that shortens the word with
+    multiplier vertex ``a``, among the first ``_SCAN_MASKS`` (1,024) masks.
+
+    Returns the member vertices other than ``a`` and ``cap(A) - deg(a)``,
+    which is negative, or ``None`` when no mask scanned reduces. Bit ``k``
+    of a mask stands for the ``k``-th vertex other than ``a`` and
+    ``a^-1``; the masks scanned use only the first ``n``, at most
+    ``_SCAN_BITS`` (10), of those vertices.
+
+    With ``A = {a}`` and the mask's members, the set reduces when its
+    gain, twice the edges inside ``A`` less the members' degrees, is
+    positive, and then ``cap(A) - deg(a)`` is minus the gain. The gain of
+    a mask of two or more members is, by inclusion-exclusion over its two
+    lowest members ``v`` and ``u``, that of the mask without ``v``, plus
+    that without ``u``, less that without both, plus twice the edges
+    between ``u`` and ``v``; that of one member ``v`` is twice the edges
+    between ``a`` and ``v`` less ``deg(v)``. The masks run upwards and
+    each reads only smaller ones, so each costs O(1). Their members and
+    smaller masks come from a plan (:func:`_scan_plan`) built once per
+    ``n`` and skipped pair, so the scan does no bit arithmetic.
+    """
+    n = min(len(adj) - 2, _SCAN_BITS)
+    others, plan = _scan_plan(min(a & ~1, n), n)
+    row = adj[a]
+    gain = [0]
+    append = gain.append
+    for rest, without_second, without_both, u, v in plan:
+        if rest:
+            g = gain[rest] + gain[without_second] - gain[without_both] + 2 * adj[u][v]
+        else:
+            g = 2 * row[v] - degree[v]
+        if g > 0:
+            mask = len(gain)
+            return [v for k, v in enumerate(others) if mask >> k & 1], -g
+        append(g)
     return None
 
 
@@ -391,38 +496,47 @@ def _smallest_reducing_set(adj, degree, a):
     ``a^-1`` is below ``deg(a)``. Returns what :func:`_first_reducing_set`
     does.
 
-    A vertex forced into ``A`` is tied to ``a``, and one forced out to
-    ``a^-1``, by an edge of capacity ``deg(a)``. Every cut through a tie
-    has capacity at least ``deg(a)``, so a reducing set that obeys the
-    ties exists exactly when the max flow stays below ``deg(a)``. The
-    mask's bits are fixed from the highest down: a vertex is left out
-    when some reducing set still exists without it, and put in otherwise.
-    That takes one flow per vertex other than ``a`` and ``a^-1``. Returns
-    ``None`` if the set so fixed does not reduce, which the flows rule out.
+    A vertex forced into ``A`` joins ``a``'s side of the flow and one
+    forced out joins ``a^-1``'s side, which is the flow with the vertex
+    tied to that side by an edge of capacity ``deg(a)``: every cut
+    through such a tie has capacity at least ``deg(a)``, so a reducing
+    set that obeys the ties exists exactly when the max flow stays below
+    ``deg(a)``. The mask's bits are fixed from the highest down: a vertex
+    is left out when some reducing set still exists without it, and put
+    in otherwise. That takes one flow per vertex other than ``a`` and
+    ``a^-1``.
+
+    Fixing a vertex only adds capacity and keeps the flow's value, so
+    each flow continues from the last one (Gallo, Grigoriadis and Tarjan,
+    *A fast parametric maximum flow algorithm*, 1989) instead of starting
+    from zero. A vertex that cannot be left out has the pushes of its
+    trial undone before it joins ``a``'s side. ``cap(A)`` is then summed
+    over the rows of ``A`` alone. Returns ``None`` if the set so fixed
+    does not reduce, which the flows rule out.
     """
-    limit, sink = degree[a], a ^ 1
-    tied = [row[:] for row in adj]
-    members = []
+    limit = degree[a]
+    residual = {}
+    sources, sinks = [a], {a ^ 1}
+    flow = 0
     for v in reversed(range(len(adj))):
         if v >> 1 == a >> 1:
             continue
-        tied[v][sink] += limit
-        tied[sink][v] += limit
-        if _flow_reaches(tied, a, sink, limit):
-            tied[v][sink] -= limit
-            tied[sink][v] -= limit
-            tied[v][a] += limit
-            tied[a][v] += limit
-            members.append(v)
-    members.reverse()
-    inside = [a, *members]
-    cap = sum(degree[u] for u in inside) - sum(adj[u][v] for u in inside for v in inside)
+        sinks.add(v)
+        log = []
+        reached = _augment(adj, residual, sources, sinks, flow, limit, log)
+        if reached < limit:
+            flow = reached
+            continue
+        sinks.remove(v)
+        for u, w, push in log:
+            residual[u][w] += push
+            residual[w][u] -= push
+        sources.append(v)
+    members = sorted(sources[1:])
+    inside = {a, *members}
+    items = enumerate if type(adj[0]) is list else dict.items
+    cap = sum(units for u in inside for v, units in items(adj[u]) if v not in inside)
     return (members, cap - limit) if cap < limit else None
-
-
-# Bounds on a multiplier's letter-set masks; see _reducing_step.
-_SCAN_ONLY_MASKS = 1 << 6
-_SCAN_MASKS = 1 << 10
 
 
 def _reducing_step(letters, names):
@@ -456,10 +570,17 @@ def _reducing_step(letters, names):
       ``cap(A)``, is at least ``deg(a)``. Otherwise the first
       ``_SCAN_MASKS`` (1,024) masks are scanned, which is every mask for
       ``s <= 6``, and past them :func:`_smallest_reducing_set` fixes the
-      mask by ``2s - 2`` max flows. The scan comes first because low
-      masks often reduce: on ``x1 x2 ... x400`` it finds each step at
-      mask 2, where the flows alone would copy an 800 x 800 graph 798
-      times.
+      mask by ``2s - 2`` max flows, each continuing the last. The scan
+      comes first because low masks often reduce: on ``x1 x2 ... x400``
+      it finds each step at mask 2, where the flows would take 798.
+
+    The scan (:func:`_first_reducing_set`) follows a plan of its masks,
+    built once per number of scanned vertices and skipped pair, so a mask
+    costs four lookups and no bit arithmetic. The graph has dense rows up to
+    ``_DENSE_VERTICES`` (12) vertices, that is ``s <= 6``, where every
+    mask is scanned, and sparse rows above, where the flows walk only a
+    vertex's neighbours and copy only the rows they change: a step takes
+    memory linear in the word, and ``x1 x2 ... x5000`` answers in 512 MiB.
 
     The scan goes in mask order and the flows give the least reducing
     mask, so the two bounds change what a step costs, never which step it
@@ -468,15 +589,14 @@ def _reducing_step(letters, names):
     flow per support generator to rule multipliers out, and scans at most
     1,024 masks per multiplier.
     """
-    adj = _whitehead_graph(letters)
-    degree = [sum(row) for row in adj]
+    adj, degree = _whitehead_graph(letters)
     masks = 1 << (len(adj) - 2)
     flows = masks > _SCAN_ONLY_MASKS
     # Odd vertices are the inverses x^-1; their answer repeats x's.
     for a in range(0, len(adj), 2):
         if flows and _flow_reaches(adj, a, a ^ 1, degree[a]):
             continue
-        found = _first_reducing_set(adj, degree, a, _SCAN_MASKS)
+        found = _first_reducing_set(adj, degree, a)
         if found is None and masks > _SCAN_MASKS:
             found = _smallest_reducing_set(adj, degree, a)
         if found is None:
@@ -501,11 +621,12 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
     the minimum has length one.
 
     Each step reads its automorphism off the word's Whitehead graph, as
-    :func:`_reducing_step` describes, instead of trying table entries. It
-    is the entry that rewriting the word with every one in turn would find
-    first, built on its own, and the only one applied; ``RuntimeError`` is
-    raised if the image's length is not the predicted one. No Whitehead
-    table is built.
+    :func:`_reducing_step` describes, instead of trying table entries: a
+    planned scan of the low masks, and max flows above 12 vertices, where
+    the graph is sparse. It is the entry that rewriting the word with
+    every one in turn would find first, built on its own, and the only
+    one applied; ``RuntimeError`` is raised if the image's length is not
+    the predicted one. No Whitehead table is built.
 
     The steps run on the word's support renamed onto ``x1..x_s``
     (:func:`_rename_support`, which the oracle shares), so each applies
@@ -521,7 +642,9 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
     kept as its cyclic reduction, in no particular rotation, and only the
     last is mapped back and rotated into canonical form, once, when a
     step was applied; the renaming keeps order and signs, so mapping back
-    and rotating commute.
+    and rotating commute. The substitution kernel already reduces the
+    image freely, so its cyclic reduction only strips the letters at its
+    two ends that cancel: one reduction per step.
 
     ``_checked`` is for :func:`is_primitive`, which has checked the rank
     and the word's support already.
@@ -537,8 +660,14 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
         if step is None:
             break
         a, members, predicted = step
-        images, auto = _step(rank, names, a, members)
-        letters = cyclic_reduce(apply_images(letters, images))
+        build = _step if len(names) <= _CACHED_SUPPORT else _step.__wrapped__
+        images, auto = build(rank, names, a, members)
+        image = apply_images(letters, images)
+        first, last = 0, len(image) - 1
+        while first < last and image[first] == -image[last]:
+            first += 1
+            last -= 1
+        letters = image[first:last + 1]
         if len(letters) != predicted:
             raise RuntimeError(f"{auto.describe()} gave length {len(letters)}, "
                                f"predicted {predicted}")

@@ -286,6 +286,41 @@ def reference_minimize(word, rank):
         primitive=len(current) == 1, certificate=tuple(certificate), minimal=current)
 
 
+def reference_first_reducing_set(adj, degree, a, stop=None):
+    """First letter set, in table mask order, that shortens the word with
+    multiplier vertex ``a``, among the masks below ``stop`` (all masks by
+    default), by walking the masks with their bit arithmetic.
+
+    Returns the member vertices other than ``a`` and ``cap(A) - deg(a)``,
+    or ``None``. Bit ``k`` of a mask stands for the ``k``-th vertex other
+    than ``a`` and ``a^-1``; the edges inside ``A`` come from three
+    smaller masks by inclusion-exclusion over the two lowest bits.
+    ``primitivity._first_reducing_set`` must give the same answer below
+    ``_SCAN_MASKS``, and ``_smallest_reducing_set`` the same answer over
+    all masks. Rows may be lists or dicts that read 0 for a missing vertex.
+    """
+    others = [v for v in range(len(adj)) if v >> 1 != a >> 1]
+    masks = 1 << len(others)
+    inside = [0]  # edges with both ends in A = {a} + members of the mask
+    weight = [0]  # sum of the members' degrees, a excluded
+    for mask in range(1, masks if stop is None else min(stop, masks)):
+        low = mask & -mask
+        rest = mask ^ low
+        v = others[low.bit_length() - 1]
+        if rest:
+            second = rest & -rest
+            u = others[second.bit_length() - 1]
+            edges = inside[rest] + inside[mask ^ second] - inside[rest ^ second] + adj[u][v]
+        else:
+            edges = adj[a][v]
+        total = weight[rest] + degree[v]
+        inside.append(edges)
+        weight.append(total)
+        if total < 2 * edges:
+            return [v for k, v in enumerate(others) if mask >> k & 1], total - 2 * edges
+    return None
+
+
 def reference_oracle(rank, max_len):
     """The orbit closure of ``x1`` under every entry of the second-kind
     table and the first-kind generators, words longer than ``max_len``

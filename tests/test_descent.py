@@ -29,7 +29,8 @@ from disksurgery._kernels import pyops
 from disksurgery.cli import main
 from disksurgery.primitivity import enumerate_whitehead_autos
 from helpers import (
-    child_env, image_table, limit_cpu_and_memory, limit_memory, random_word, reference_minimize,
+    child_env, image_table, limit_cpu_and_memory, limit_memory, random_word,
+    reference_first_reducing_set, reference_minimize,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -171,12 +172,13 @@ def assert_flows_choose_first_set(letters):
     """Pins ``_smallest_reducing_set`` against the full mask scan for every
     multiplier vertex whose max flow is below its degree, and the flow
     test against the scan for the others, on the graph of ``letters``
-    with their support renamed. Returns the multipliers checked by flows."""
-    adj = primitivity._whitehead_graph(primitivity._rename_support(letters)[0])
-    degree = [sum(row) for row in adj]
+    with their support renamed. Degrees are the graph's own, which count
+    edges whether its rows are dense or sparse. Returns the multipliers
+    checked by flows."""
+    adj, degree = primitivity._whitehead_graph(primitivity._rename_support(letters)[0])
     checked = 0
     for a in range(len(adj)):
-        scanned = primitivity._first_reducing_set(adj, degree, a)
+        scanned = reference_first_reducing_set(adj, degree, a)
         if primitivity._flow_reaches(adj, a, a ^ 1, degree[a]):
             assert scanned is None, (letters, a)
         else:
@@ -211,6 +213,77 @@ class TestSmallestReducingSet:
         assert sum(assert_flows_choose_first_set(w.letters) for w in trail if len(w) >= 2) > 0
 
 
+def random_graph(rng, size, density):
+    """A random Whitehead-like graph on ``size`` vertices, an even number:
+    symmetric edge counts and no loops, in dense rows up to
+    ``_DENSE_VERTICES`` and sparse rows above, as ``_whitehead_graph``
+    builds them, and its degrees."""
+    sparse = size > primitivity._DENSE_VERTICES
+    adj = [primitivity._SparseRow() if sparse else [0] * size for _ in range(size)]
+    for u in range(size):
+        for v in range(u):
+            if rng.random() < density:
+                adj[u][v] = adj[v][u] = rng.randint(1, 3)
+    return adj, [sum(row.values()) if sparse else sum(row) for row in adj]
+
+
+class TestPlannedScan:
+    """The planned scan finds the first reducing mask below ``_SCAN_MASKS``
+    that the bit-by-bit reference scan finds, for every multiplier."""
+
+    def assert_same_scan(self, adj, degree, multipliers):
+        found = 0
+        for a in multipliers:
+            want = reference_first_reducing_set(adj, degree, a, primitivity._SCAN_MASKS)
+            assert primitivity._first_reducing_set(adj, degree, a) == want, (adj, a)
+            found += want is not None
+        return found
+
+    @pytest.mark.parametrize("size", [4, 6, 8, 10, 12])
+    def test_dense_graphs(self, size, rng):
+        found = scanned = 0
+        for _ in range(30):
+            adj, degree = random_graph(rng, size, rng.choice([0.15, 0.3, 0.6]))
+            assert all(type(row) is list for row in adj)
+            found += self.assert_same_scan(adj, degree, range(size))
+            scanned += size
+        # Both answers occur: a reducing set, and none among the masks scanned.
+        assert 0 < found < scanned
+
+    @pytest.mark.parametrize("size", [14, 20, 40])
+    def test_sparse_graphs(self, size, rng):
+        found = 0
+        for _ in range(6):
+            adj, degree = random_graph(rng, size, 4 / size)
+            found += self.assert_same_scan(adj, degree, range(size))
+        assert found > 0
+
+    def test_words_above_twelve_vertices(self, rng):
+        for support in (7, 9, 13):
+            for _ in range(4):
+                letters = random_word(rng, support, 60, min_len=40).cyclic().letters
+                renamed, names = primitivity._rename_support(letters)
+                adj, degree = primitivity._whitehead_graph(renamed)
+                assert len(adj) == 2 * len(names) > primitivity._DENSE_VERTICES
+                assert all(type(row) is primitivity._SparseRow for row in adj)
+                assert degree == [sum(row.values()) for row in adj]
+                self.assert_same_scan(adj, degree, range(len(adj)))
+
+    def test_rows_dense_up_to_twelve_vertices(self):
+        for support, kind in ((6, list), (7, primitivity._SparseRow)):
+            letters = tuple(range(1, support + 1)) * 2
+            adj, degree = primitivity._whitehead_graph(letters)
+            assert len(adj) == 2 * support and all(type(row) is kind for row in adj)
+            assert degree == [2] * (2 * support)
+            # Two edges x_i -- x_(i+1)^-1 for each i, the last to x1^-1.
+            size = 2 * support
+            want = [[0] * size for _ in range(size)]
+            for i in range(support):
+                u, v = 2 * i, (2 * i + 3) % size
+                want[u][v] = want[v][u] = 2
+            assert [[row[v] for v in range(size)] for row in adj] == want
+
+
 @pytest.mark.parametrize("generators,rank", [
     pytest.param(range(1, 6), 5, id="5"),
     pytest.param(range(1, 8), 7, id="7"),
@@ -241,9 +314,10 @@ def test_length_formula(rank, rng):
         if len(letters) < 2:
             continue
         renamed, names = primitivity._rename_support(letters)
-        adj = primitivity._whitehead_graph(renamed)
+        adj, degrees = primitivity._whitehead_graph(renamed)
         assert len(adj) == 2 * len(names)
-        assert sum(map(sum, adj)) == 2 * len(letters)
+        assert sum(map(sum, adj)) == sum(degrees) == 2 * len(letters)
+        assert degrees == [sum(row) for row in adj]
         vertex = {x: pyops.letter_key(y) for x, y in zip(letters, renamed)}
         vertex.update({-x: v ^ 1 for x, v in list(vertex.items())})
         for auto in autos:
@@ -458,3 +532,58 @@ def test_wide_support_answers_in_bounds(s):
     lines = out.stdout.splitlines()
     assert "verdict: primitive" in lines
     assert lines[-1].startswith(f"  step {2 * s - 3}: ")
+
+
+def chain_word(n):
+    """``x1 x2 ... xn``, primitive, with a support of n generators; each
+    of its n - 1 steps is found by the scan at mask 2."""
+    return " ".join(f"x{i}" for i in range(1, n + 1))
+
+
+def test_chain_word_answers_in_bounds():
+    # A dense (2n)**2 graph per step took 94 MiB and 54 s of CPU at n = 1,000
+    # (2-core Xeon), and a MemoryError at n = 5,000; sparse rows take memory
+    # linear in the word. The child gets 512 MiB and 10 s of CPU time.
+    out = primitive_cli(500, chain_word(500), preexec_fn=limit_cpu_and_memory)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert "verdict: primitive" in lines
+    assert lines[-1].startswith("  step 499: ")
+
+
+# The descent of x1 ... x2000: its verdict, its steps and the scan plans kept.
+CHAIN2000_PROBE = """
+from disksurgery import Word, primitivity, whitehead_minimize
+verdict = whitehead_minimize(Word(tuple(range(1, 2001))), 2000)
+print(verdict.primitive, len(verdict.certificate), primitivity._scan_plan.cache_info().currsize)
+"""
+
+def test_chain_word_keeps_few_scan_plans():
+    # A plan per multiplier would keep about 2,000 here. The child is held
+    # to MEMORY_LIMIT; it takes about 5 s of CPU on a 2-core Xeon.
+    out = subprocess.run(
+        [sys.executable, "-c", CHAIN2000_PROBE], capture_output=True, text=True,
+        env=child_env("pure"), preexec_fn=limit_memory, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    primitive, steps, plans = out.stdout.split()
+    assert primitive == "True" and steps == "1999"
+    assert 0 < int(plans) <= MAX_SCAN_PLANS
+
+
+# Scan plans are keyed by the number n of vertices scanned, an even number
+# up to _SCAN_BITS = 10, and by the pair skipped, one of the n/2 + 1 pairs
+# it can skip: 1 + 2 + ... + 6 keys.
+MAX_SCAN_PLANS = 21
+
+
+def test_scan_plans_bounded_over_every_size_and_multiplier(rng):
+    primitivity._scan_plan.cache_clear()
+    try:
+        for size in range(2, 31, 2):
+            adj, degree = random_graph(rng, size, 0.3)
+            for a in range(size):
+                primitivity._first_reducing_set(adj, degree, a)
+        assert primitivity._scan_plan.cache_info().currsize == MAX_SCAN_PLANS
+    finally:
+        primitivity._scan_plan.cache_clear()

@@ -199,6 +199,21 @@ class TestSelection:
         assert "ValueError" in out.stderr
         assert "ModuleNotFoundError" not in out.stderr
 
+    def test_forced_compiled_without_core_names_the_fix(self):
+        # The child cannot import the core, whether or not it was built here.
+        code = ("import sys; sys.modules['disksurgery._kernels._core'] = None\n"
+                "import disksurgery")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True,
+            env=child_env("compiled"),
+        )
+        assert out.returncode != 0
+        last = out.stderr.strip().splitlines()[-1]
+        assert last.startswith("ImportError: DISKSURGERY_KERNEL=compiled, but the compiled core")
+        assert "python setup.py build_ext --inplace" in last
+        assert "circular import" not in last
+
     @needs_compiled
     def test_same_verdicts_across_backends(self):
         code = (
