@@ -686,18 +686,28 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
     )
 
 
+def _mixed_signs(letters) -> bool:
+    """Whether ``x1`` or ``x2`` occurs in ``letters`` with its inverse; each
+    membership scan stops at its first hit."""
+    return (1 in letters and -1 in letters) or (2 in letters and -2 in letters)
+
+
 def oz_rank2_nonprimitive(word: CyclicWord | Word) -> bool:
     """Rank-2 sign test: True certifies NON-primitivity, False is silent.
 
     A cyclically reduced word over ``x1, x2`` that contains some
     generator together with its inverse cannot lie in any free basis of
     the rank-2 free group. Only applicable in rank-2 context.
+
+    One ``max``/``min`` of the cyclic letters checks the support; the
+    test itself is ``(1 in letters and -1 in letters) or (2 in letters
+    and -2 in letters)``, which stops at the first pair it finds.
     """
     cyclic = word if isinstance(word, CyclicWord) else word.cyclic()
-    seen = set(cyclic.letters)
-    if any(abs(a) > 2 for a in seen):
+    letters = cyclic.letters
+    if letters and (max(letters) > 2 or min(letters) < -2):
         raise ValueError("rank-2 test applied to a word with higher generators")
-    return (1 in seen and -1 in seen) or (2 in seen and -2 in seen)
+    return _mixed_signs(letters)
 
 
 def is_primitive(word: Word | CyclicWord, rank: int, *, use_oz: bool = True) -> PrimitivityVerdict:
@@ -707,13 +717,24 @@ def is_primitive(word: Word | CyclicWord, rank: int, *, use_oz: bool = True) -> 
     lies in ``x1, x2`` the rank-2 sign test runs first (primitivity is
     stable under extending the ambient basis, so the restriction is
     sound); ``use_oz=False`` forces the descent, with identical verdicts.
+
+    One ``max``/``min`` of the cyclic letters serves both the support
+    check and the gate of the sign test, which is the one-pass test of
+    :func:`oz_rank2_nonprimitive`. A :class:`Word` has its own letters
+    checked first, since letters past the rank may cancel in reduction.
     """
     check_rank(rank)
-    check_support(word.letters, rank)
-    cyclic = word if isinstance(word, CyclicWord) else word.cyclic()
+    if isinstance(word, CyclicWord):
+        cyclic = word
+    else:
+        check_support(word.letters, rank)
+        cyclic = word.cyclic()
     letters = cyclic.letters
-    if use_oz and letters and max(letters) <= 2 and min(letters) >= -2:
-        if oz_rank2_nonprimitive(cyclic):
+    if letters:
+        top, bottom = max(letters), min(letters)
+        if top > rank or bottom < -rank:
+            check_support(letters, rank)
+        if use_oz and top <= 2 and bottom >= -2 and _mixed_signs(letters):
             return PrimitivityVerdict(
                 primitive=False, certificate=(), minimal=cyclic, oz_fired=True
             )

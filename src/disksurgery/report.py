@@ -10,6 +10,7 @@ identical systems produce byte-identical reports.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .scenarios import _word_list
 from .surgery import DiskPairSystem, closure_report
@@ -39,7 +40,8 @@ def run_report(system: DiskPairSystem, label: str = "scenario") -> dict:
     different theorem. Its entries are checked before any surgery runs.
 
     Each outcome's class is taken from the canonical cyclic form that
-    ``closure_report`` computed for its verdict, once per distinct form.
+    ``closure_report`` computed for its verdict. The class, its text and
+    whether it is expected are worked out once per distinct form.
     """
     expected = _expected_classes(system)
     closure = closure_report(system)
@@ -47,26 +49,32 @@ def run_report(system: DiskPairSystem, label: str = "scenario") -> dict:
     deviations = []
     classes = {}
     for direction in closure.directions:
+        name = direction.label
         for (outcome, verdict), cyclic in zip(direction.entries, direction.cyclic_words):
             p, q = outcome.choice.chord
-            cyclic_class = classes.get(cyclic.letters)
-            if cyclic_class is None:
-                cyclic_class = classes[cyclic.letters] = unoriented_cyclic_class(cyclic)
+            known = classes.get(cyclic.letters)
+            if known is None:
+                cyclic_class = unoriented_cyclic_class(cyclic)
+                known = classes[cyclic.letters] = (
+                    format_word(cyclic_class),
+                    expected is not None and cyclic_class not in expected,
+                )
+            class_text, strays = known
             outcomes.append({
-                "direction": direction.label,
+                "direction": name,
                 "chord": [p, q],
                 "cap_from": outcome.choice.start,
                 "piece": outcome.piece,
                 "word": format_word(outcome.boundary_word),
-                "cyclic_class": format_word(cyclic_class),
+                "cyclic_class": class_text,
                 "inherited_chords": outcome.inherited_chords,
                 "primitive": verdict.primitive,
                 "oz_fired": verdict.oz_fired,
             })
-            if expected is not None and cyclic_class not in expected:
+            if strays:
                 deviations.append(
-                    f"outcome {direction.label}, chord {{{p}, {q}}}, piece {outcome.piece}"
-                    f" has class '{format_word(cyclic_class)}' outside the expected classes"
+                    f"outcome {name}, chord {{{p}, {q}}}, piece {outcome.piece}"
+                    f" has class '{class_text}' outside the expected classes"
                 )
 
     return {
@@ -133,5 +141,55 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One outcome row as ``json.dumps(report, indent=2, sort_keys=True)`` lays
+# it out inside ``outcomes``, keys in sorted order, after its separator.
+_ROW = """,
+    {
+      "cap_from": %s,
+      "chord": [
+        %s,
+        %s
+      ],
+      "cyclic_class": %s,
+      "direction": %s,
+      "inherited_chords": %d,
+      "oz_fired": %s,
+      "piece": %s,
+      "primitive": %s,
+      "word": %s
+    }"""
+_OUTCOMES = '\n  "outcomes": []'
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The ``closure --machine`` document: a :func:`run_report` dict as JSON.
+
+    Writes exactly ``run_report``'s schema, byte-identical to
+    ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``. The outcome
+    rows, nearly all of the text, come from one template, their strings
+    escaped by ``json``'s own C escaper; only the small rest goes through
+    ``json.dumps``, whose indented output runs the pure-Python encoder.
+    The document is joined once.
+    """
+    # No newline occurs inside an encoded string and only top-level keys
+    # sit at two spaces, so the mark is found once, where the rows go.
+    head, _, tail = json.dumps(
+        {**report, "outcomes": []}, indent=2, sort_keys=True
+    ).partition(_OUTCOMES)
+    outcomes = report["outcomes"]
+    if not outcomes:
+        return "".join((head, _OUTCOMES, tail, "\n"))
+    esc = encode_basestring_ascii
+    parts = [head, '\n  "outcomes": [']
+    parts.extend(
+        _ROW % (
+            esc(row["cap_from"]), esc(row["chord"][0]), esc(row["chord"][1]),
+            esc(row["cyclic_class"]), esc(row["direction"]), row["inherited_chords"],
+            "true" if row["oz_fired"] else "false", esc(row["piece"]),
+            "true" if row["primitive"] else "false", esc(row["word"]),
+        )
+        for row in outcomes
+    )
+    parts[2] = parts[2][1:]  # the first row has no separator
+    parts += ("\n  ]", tail, "\n")
+    return "".join(parts)

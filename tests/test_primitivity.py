@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import product
 
 import pytest
@@ -214,6 +215,35 @@ class TestIsPrimitive:
             check(Word((3, 1, -3)), 2)
         with pytest.raises(ValueError, match="generator index 5 exceeds rank 3"):
             check(Word((1, -5, 2, 4)), 3)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_sign_test_parity(self, rank):
+        # Words over x1, x2, as Word and as CyclicWord: the gate and the
+        # one-pass sign test in is_primitive agree with the standalone
+        # test and with a set of the letters, and the verdict with the
+        # descent alone.
+        rng = random.Random(rank)
+        for _ in range(300):
+            w = random_word(rng, 2, 14)
+            cyclic = w.cyclic()
+            seen = set(cyclic.letters)
+            mixed = {1, -1} <= seen or {2, -2} <= seen
+            assert oz_rank2_nonprimitive(cyclic) == mixed
+            slow = is_primitive(w, rank, use_oz=False)
+            for word in (w, cyclic):
+                fast = is_primitive(word, rank)
+                assert fast.oz_fired == oz_rank2_nonprimitive(cyclic)
+                assert fast.primitive == slow.primitive
+
+    def test_sign_test_errors(self):
+        # x3 cancels out of the Word but is still past rank 2; a CyclicWord
+        # past the rank is named by its first offending letter.
+        with pytest.raises(ValueError, match="^generator index 3 exceeds rank 2$"):
+            is_primitive(Word((3, -3, 1)), 2)
+        with pytest.raises(ValueError, match="^generator index 4 exceeds rank 3$"):
+            is_primitive(CyclicWord((1, 2, -4, 5)), 3)
+        with pytest.raises(ValueError, match="^rank-2 test applied to a word with higher generators$"):
+            oz_rank2_nonprimitive(Word((1, -2, 3)))
 
     def test_support_checked_once(self, monkeypatch):
         calls = []
