@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 usage error, 3 not primitive (``primitive``
 subcommand), 4 scenario parse/validation failure, 5 oracle node cap or
-letter budget hit.
+letter budget hit. A valid pair with no intersection arcs passes
+``validate`` (exit 0), but ``surgeries`` and ``closure`` exit 2 on it
+with ``error: surgery undefined for disjoint disks``, as surgery needs an
+arc.
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ that shortens the word is its letter set with ``cap(A) < deg(a)`` and the
 least mask, so certificates are those of trying every entry in turn, but
 the step is built from its ``(a, A)`` alone. That mask is found in time
 polynomial in the word, never by walking the ``4**(s - 1)`` masks of a
-support of ``s`` generators; :func:`_reducing_step` gives the rule, after
+support of ``s`` generators: a scan of the masks, max flows, or both,
+as ``s`` compares with two support sizes, ``_SCAN_ONLY_SUPPORT`` (4)
+and ``_SMALL_SUPPORT`` (6). :func:`_reducing_step` gives the rule, after
 Gersten and Roig, Ventura and Weil (*On the complexity of the Whitehead
 minimization problem*, 2007). The graph does not change under rotation,
 so the words between steps are kept cyclically reduced but unrotated,
@@ -265,8 +267,12 @@ def _named(letters, names):
     return [names[x - 1] if x > 0 else -names[-x - 1] for x in letters]
 
 
-# Steps over supports of at most this many generators are kept by _step.
-_CACHED_SUPPORT = 6
+# The two support sizes, in generators, that pick how a descent step is
+# found (see _reducing_step): up to _SCAN_ONLY_SUPPORT the mask scan alone
+# decides a multiplier, and up to _SMALL_SUPPORT the Whitehead graph has
+# dense rows, the scan covers every mask and _step keeps the step.
+_SCAN_ONLY_SUPPORT = 4
+_SMALL_SUPPORT = 6
 
 
 @lru_cache(maxsize=512)
@@ -276,7 +282,7 @@ def _step(rank, names, multiplier, members):
     certificate entry: the table entry at ``rank`` for it mapped back.
 
     Steps recur across words, so the last 512 over supports of at most
-    ``_CACHED_SUPPORT`` (6) generators are kept: at most 512 tables of 12
+    ``_SMALL_SUPPORT`` (6) generators are kept: at most 512 tables of 12
     slots, whatever the rank or the word. A step over a wider support is
     built by ``_step.__wrapped__`` and not kept, as its table has ``2s``
     slots.
@@ -304,18 +310,14 @@ class PrimitivityVerdict:
 
 
 class _SparseRow(dict):
-    """A row of a Whitehead graph on more than ``_DENSE_VERTICES``
-    vertices: each neighbour's edge count, and 0 for any other vertex."""
+    """A row of the Whitehead graph of a support wider than
+    ``_SMALL_SUPPORT`` generators: each neighbour's edge count, and 0 for
+    any other vertex."""
 
     __slots__ = ()
 
     def __missing__(self, vertex):
         return 0
-
-
-# Whitehead graphs on at most this many vertices (supports of at most 6
-# generators) keep dense rows; larger ones keep sparse rows.
-_DENSE_VERTICES = 12
 
 
 def _whitehead_graph(letters):
@@ -327,14 +329,14 @@ def _whitehead_graph(letters):
     ``v`` is ``v ^ 1``. Each cyclic position ``i`` adds one edge between
     ``w[i]`` and ``w[i+1]^-1``; there are no loops, as the word is
     cyclically reduced. The rows hold the symmetric edge counts: lists of
-    ``2s`` counts up to ``_DENSE_VERTICES`` (12) vertices, and above that
+    ``2s`` counts up to a support of ``_SMALL_SUPPORT`` (6), and above that
     :class:`_SparseRow` dicts of the neighbours alone, so the graph takes
     memory linear in the word. A vertex's degree counts the occurrences of
     its letter and of the inverse, read off the same pass.
     """
     keys = [a + a - 2 if a > 0 else -a - a - 1 for a in letters]  # letter_key, inlined
     size = (max(keys) | 1) + 1
-    if size <= _DENSE_VERTICES:
+    if size <= 2 * _SMALL_SUPPORT:
         adj = [[0] * size for _ in range(size)]
     else:
         adj = [_SparseRow() for _ in range(size)]
@@ -405,14 +407,11 @@ def _flow_reaches(adj, source, sink, limit):
     return _augment(adj, {}, [source], {sink}, 0, limit) >= limit
 
 
-# Bounds on a multiplier's letter-set masks; see _reducing_step.
-_SCAN_ONLY_MASKS = 1 << 6
-_SCAN_BITS = 10
-_SCAN_MASKS = 1 << _SCAN_BITS
-
-
+# A scan reads the masks of at most this many vertices other than a
+# multiplier and its inverse: all 2s - 2 of them up to _SMALL_SUPPORT.
+_SCAN_BITS = 2 * _SMALL_SUPPORT - 2
 # Every mask value a scan reads, made once, so that plans share them.
-_MASK_VALUES = tuple(range(_SCAN_MASKS))
+_MASK_VALUES = tuple(range(1 << _SCAN_BITS))
 
 
 @lru_cache(maxsize=None)
@@ -426,23 +425,19 @@ def _scan_plan(skip, n):
     ``v``, without ``u`` and without both, then ``u`` and ``v``. A mask of
     one member ``v`` gives ``(0, 0, 0, -1, v)``. The bit arithmetic
     depends only on ``n`` and on which two vertices are skipped, never on
-    the word, so it is done once here. ``n`` is at most ``_SCAN_BITS``
-    and ``skip`` at most ``n``, as a multiplier past the first ``n``
-    vertices skips none of them: there are at most 21 plans, whatever the
-    rank. A mask whose lowest two members are below ``skip`` has the same
-    tuple as in the plan that skips none (``skip = n``), which lends it,
-    so the plans of one ``n`` share most of their tuples.
+    the word, so it is done once here. ``n`` is ``2s - 2`` for a support
+    of ``s`` generators, at most ``_SCAN_BITS`` (10, from
+    ``_SMALL_SUPPORT``), and ``skip`` at most ``n``, as a multiplier past
+    the first ``n`` vertices skips none of them: there are at most 21
+    plans, whatever the rank.
     """
     others = [*range(skip), *range(skip + 2, n + 2)]
-    shared = _scan_plan(n, n)[1] if skip < n else None
     plan = []
     for mask in range(1, 1 << n):
         low = mask & -mask
         rest = mask ^ low
-        second = rest & -rest
-        if shared and (second or low) >> skip == 0:
-            plan.append(shared[mask - 1])
-        elif rest:
+        if rest:
+            second = rest & -rest
             plan.append((_MASK_VALUES[rest], _MASK_VALUES[mask ^ second],
                          _MASK_VALUES[rest ^ second], others[second.bit_length() - 1],
                          others[low.bit_length() - 1]))
@@ -453,13 +448,15 @@ def _scan_plan(skip, n):
 
 def _first_reducing_set(adj, degree, a):
     """First letter set, in table mask order, that shortens the word with
-    multiplier vertex ``a``, among the first ``_SCAN_MASKS`` (1,024) masks.
+    multiplier vertex ``a``, among the masks of the first ``n`` vertices
+    other than ``a`` and ``a^-1``: all ``2s - 2`` of them up to a support
+    of ``_SMALL_SUPPORT`` (6) generators, and ``_SCAN_BITS`` (10) above
+    it, so at most 1,024 masks.
 
     Returns the member vertices other than ``a`` and ``cap(A) - deg(a)``,
     which is negative, or ``None`` when no mask scanned reduces. Bit ``k``
     of a mask stands for the ``k``-th vertex other than ``a`` and
-    ``a^-1``; the masks scanned use only the first ``n``, at most
-    ``_SCAN_BITS`` (10), of those vertices.
+    ``a^-1``.
 
     With ``A = {a}`` and the mask's members, the set reduces when its
     gain, twice the edges inside ``A`` less the members' degrees, is
@@ -560,44 +557,45 @@ def _reducing_step(letters, names):
 
     For each multiplier, in table order, the reducer with the least mask
     is the first table entry that shortens the word. A support of ``s``
-    generators gives each multiplier ``4**(s - 1)`` masks, and their
-    number picks how that reducer is found:
+    generators gives each multiplier ``4**(s - 1)`` masks, and ``s``
+    picks how that reducer is found:
 
-    * up to ``_SCAN_ONLY_MASKS`` (64, ``s <= 4``) the mask scan finds it
-      or shows there is none, at less cost than a max flow;
+    * up to ``_SCAN_ONLY_SUPPORT`` (4) generators, 64 masks, the mask
+      scan finds it or shows there is none, at less cost than a max flow;
     * above that, a max flow from ``a`` to ``a^-1`` that reaches
       ``deg(a)`` skips the multiplier, as then every cut, so every
-      ``cap(A)``, is at least ``deg(a)``. Otherwise the first
-      ``_SCAN_MASKS`` (1,024) masks are scanned, which is every mask for
-      ``s <= 6``, and past them :func:`_smallest_reducing_set` fixes the
-      mask by ``2s - 2`` max flows, each continuing the last. The scan
-      comes first because low masks often reduce: on ``x1 x2 ... x400``
-      it finds each step at mask 2, where the flows would take 798.
+      ``cap(A)``, is at least ``deg(a)``. Otherwise the masks are
+      scanned: every one up to ``_SMALL_SUPPORT`` (6) generators, 1,024
+      masks, and the first 1,024 above it, past which
+      :func:`_smallest_reducing_set` fixes the mask by ``2s - 2`` max
+      flows, each continuing the last. The scan comes first because low
+      masks often reduce: on ``x1 x2 ... x400`` it finds each step at
+      mask 2, where the flows would take 798.
 
     The scan (:func:`_first_reducing_set`) follows a plan of its masks,
     built once per number of scanned vertices and skipped pair, so a mask
-    costs four lookups and no bit arithmetic. The graph has dense rows up to
-    ``_DENSE_VERTICES`` (12) vertices, that is ``s <= 6``, where every
-    mask is scanned, and sparse rows above, where the flows walk only a
-    vertex's neighbours and copy only the rows they change: a step takes
-    memory linear in the word, and ``x1 x2 ... x5000`` answers in 512 MiB.
+    costs four lookups and no bit arithmetic. The graph has dense rows up
+    to ``_SMALL_SUPPORT`` generators, where every mask is scanned, and
+    sparse rows above, where the flows walk only a vertex's neighbours
+    and copy only the rows they change: a step takes memory linear in the
+    word, and ``x1 x2 ... x5000`` answers in 512 MiB.
 
     The scan goes in mask order and the flows give the least reducing
-    mask, so the two bounds change what a step costs, never which step it
-    is. ``RuntimeError`` is raised if a flow below ``deg(a)`` is followed
-    by no reducing set, as the two must agree. A step runs at most one
-    flow per support generator to rule multipliers out, and scans at most
-    1,024 masks per multiplier.
+    mask, so the two support sizes change what a step costs, never which
+    step it is. ``RuntimeError`` is raised if a flow below ``deg(a)`` is
+    followed by no reducing set, as the two must agree. A step runs at
+    most one flow per support generator to rule multipliers out, and scans
+    at most 1,024 masks per multiplier.
     """
     adj, degree = _whitehead_graph(letters)
-    masks = 1 << (len(adj) - 2)
-    flows = masks > _SCAN_ONLY_MASKS
+    support = len(adj) >> 1
+    flows = support > _SCAN_ONLY_SUPPORT
     # Odd vertices are the inverses x^-1; their answer repeats x's.
     for a in range(0, len(adj), 2):
         if flows and _flow_reaches(adj, a, a ^ 1, degree[a]):
             continue
         found = _first_reducing_set(adj, degree, a)
-        if found is None and masks > _SCAN_MASKS:
+        if found is None and support > _SMALL_SUPPORT:
             found = _smallest_reducing_set(adj, degree, a)
         if found is None:
             if flows:
@@ -622,11 +620,11 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
 
     Each step reads its automorphism off the word's Whitehead graph, as
     :func:`_reducing_step` describes, instead of trying table entries: a
-    planned scan of the low masks, and max flows above 12 vertices, where
-    the graph is sparse. It is the entry that rewriting the word with
-    every one in turn would find first, built on its own, and the only
-    one applied; ``RuntimeError`` is raised if the image's length is not
-    the predicted one. No Whitehead table is built.
+    planned scan of the low masks and max flows, as the support's size
+    picks. It is the entry that rewriting the word with every one in turn
+    would find first, built on its own, and the only one applied;
+    ``RuntimeError`` is raised if the image's length is not the predicted
+    one. No Whitehead table is built.
 
     The steps run on the word's support renamed onto ``x1..x_s``
     (:func:`_rename_support`, which the oracle shares), so each applies
@@ -660,7 +658,7 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
         if step is None:
             break
         a, members, predicted = step
-        build = _step if len(names) <= _CACHED_SUPPORT else _step.__wrapped__
+        build = _step if len(names) <= _SMALL_SUPPORT else _step.__wrapped__
         images, auto = build(rank, names, a, members)
         image = apply_images(letters, images)
         first, last = 0, len(image) - 1

@@ -296,7 +296,7 @@ def reference_first_reducing_set(adj, degree, a, stop=None):
     than ``a`` and ``a^-1``; the edges inside ``A`` come from three
     smaller masks by inclusion-exclusion over the two lowest bits.
     ``primitivity._first_reducing_set`` must give the same answer below
-    ``_SCAN_MASKS``, and ``_smallest_reducing_set`` the same answer over
+    ``2**_SCAN_BITS``, and ``_smallest_reducing_set`` the same answer over
     all masks. Rows may be lists or dicts that read 0 for a missing vertex.
     """
     others = [v for v in range(len(adj)) if v >> 1 != a >> 1]

@@ -26,6 +26,7 @@ from helpers import (
     OUTCOME_LONG,
     OUTCOME_SHORT,
     child_env,
+    disjoint_system,
     limit_memory,
     single_chord_system,
 )
@@ -221,6 +222,27 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 4
         assert "not valid JSON" in err
+
+
+class TestDisjointPair:
+    """A valid pair with no intersection arcs has no surgery: the commands
+    that surger it exit 2, as ``DisjointDisksError`` is a ``ValueError``,
+    and ``validate`` accepts it."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "disjoint.json"
+        save_scenario(disjoint_system(), path)
+        return path
+
+    @pytest.mark.parametrize("command", [["surgeries"], ["closure"], ["closure", "--machine"]])
+    def test_surgery_exit_two(self, capsys, path, command):
+        code, out, err = run(capsys, *command, str(path))
+        assert (code, out, err) == (2, "", "error: surgery undefined for disjoint disks\n")
+
+    def test_validate_exit_zero(self, capsys, path):
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out, err) == (0, "valid: 0 intersection arcs, rank 2\n", "")
 
 
 def mutual_crossing_scenario(k):

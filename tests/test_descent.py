@@ -42,6 +42,7 @@ def assert_same_descent(word, rank):
     assert got.minimal == want.minimal, (word, rank)
     assert len(got.certificate) == len(want.certificate), (word, rank)
     assert all(a is b for a, b in zip(got.certificate, want.certificate)), (word, rank)
+    return got
 
 
 @st.composite
@@ -78,6 +79,21 @@ class TestMatchesReference:
         for _ in range(100):
             rank = rng.choice([2, 3, 4])
             assert_same_descent(random_word(rng, rank, 14), rank)
+
+    def test_supports_five_and_six(self, backend, rng):
+        # Each step runs the flow pre-test and then scans every mask: up to
+        # 256 per multiplier at support 5 and 1,024 at support 6. The first
+        # word is primitive in 10 steps. Squares are never primitive.
+        words = [(parse_word("x3 x4 x1 x4 x3^-1 x1^-1 x5 x6^-1 x2^-1 x4 x5", 6), 6)]
+        while len(words) < 9:
+            rank = 5 + len(words) % 2
+            word = random_word(rng, rank, 14, min_len=8)
+            if len({abs(x) for x in word.cyclic().letters}) == rank:
+                words.append((word, rank))
+        words += [(word * word, rank) for word, rank in words[1:3]]
+        verdicts = [assert_same_descent(word, rank) for word, rank in words]
+        assert len(verdicts[0].certificate) == 10
+        assert {v.primitive for v in verdicts} == {True, False}
 
     @pytest.mark.parametrize("genus", [3, 4, 5])
     def test_fig1_outcomes(self, backend, genus):
@@ -215,10 +231,10 @@ class TestSmallestReducingSet:
 
 def random_graph(rng, size, density):
     """A random Whitehead-like graph on ``size`` vertices, an even number:
-    symmetric edge counts and no loops, in dense rows up to
-    ``_DENSE_VERTICES`` and sparse rows above, as ``_whitehead_graph``
-    builds them, and its degrees."""
-    sparse = size > primitivity._DENSE_VERTICES
+    symmetric edge counts and no loops, in dense rows up to twice
+    ``_SMALL_SUPPORT`` vertices and sparse rows above, as
+    ``_whitehead_graph`` builds them, and its degrees."""
+    sparse = size > 2 * primitivity._SMALL_SUPPORT
     adj = [primitivity._SparseRow() if sparse else [0] * size for _ in range(size)]
     for u in range(size):
         for v in range(u):
@@ -228,13 +244,14 @@ def random_graph(rng, size, density):
 
 
 class TestPlannedScan:
-    """The planned scan finds the first reducing mask below ``_SCAN_MASKS``
-    that the bit-by-bit reference scan finds, for every multiplier."""
+    """The planned scan finds the first reducing mask below
+    ``2**_SCAN_BITS`` that the bit-by-bit reference scan finds, for every
+    multiplier."""
 
     def assert_same_scan(self, adj, degree, multipliers):
         found = 0
         for a in multipliers:
-            want = reference_first_reducing_set(adj, degree, a, primitivity._SCAN_MASKS)
+            want = reference_first_reducing_set(adj, degree, a, 1 << primitivity._SCAN_BITS)
             assert primitivity._first_reducing_set(adj, degree, a) == want, (adj, a)
             found += want is not None
         return found
@@ -264,7 +281,7 @@ class TestPlannedScan:
                 letters = random_word(rng, support, 60, min_len=40).cyclic().letters
                 renamed, names = primitivity._rename_support(letters)
                 adj, degree = primitivity._whitehead_graph(renamed)
-                assert len(adj) == 2 * len(names) > primitivity._DENSE_VERTICES
+                assert len(adj) == 2 * len(names) > 2 * primitivity._SMALL_SUPPORT
                 assert all(type(row) is primitivity._SparseRow for row in adj)
                 assert degree == [sum(row.values()) for row in adj]
                 self.assert_same_scan(adj, degree, range(len(adj)))
@@ -286,13 +303,15 @@ class TestPlannedScan:
 
 @pytest.mark.parametrize("generators,rank", [
     pytest.param(range(1, 6), 5, id="5"),
+    pytest.param(range(1, 7), 6, id="6"),
     pytest.param(range(1, 8), 7, id="7"),
     pytest.param(range(3, 8), 9, id="x3-x7-rank9"),
 ])
 def test_flow_disagreeing_with_sets_raises(generators, rank, monkeypatch):
     """A flow below deg(a) with no reducing set after it is an error, on
-    the scan path (support 5) and on the path that fixes a mask by flows
-    (support 7), not a skipped multiplier or a step that does not shorten.
+    the scan path (supports 5 and 6, the largest whose scan covers every
+    mask) and on the path that fixes a mask by flows (support 7), not a
+    skipped multiplier or a step that does not shorten.
     The error names the caller's letter: over ``x3..x7`` it is ``x3``,
     not the ``x1`` that the renamed support calls it."""
     word = Word(tuple(g for i in generators for g in (i, i)))
