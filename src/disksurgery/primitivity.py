@@ -27,6 +27,19 @@ minimization problem*, 2007). The graph does not change under rotation,
 so the words between steps are kept cyclically reduced but unrotated,
 and only the last one is put in canonical form.
 
+A proper power ``u^m`` is descended on its root ``u``
+(:func:`_primitive_root`, found once). Its cyclic letter pairs are ``m``
+copies of ``u``'s, so its Whitehead graph is ``u``'s with every edge
+count times ``m``. Every test of the step rule (a mask's gain, a max
+flow against ``deg(a)``, the fixings of :func:`_smallest_reducing_set`,
+the predicted length) is homogeneous of degree one in the edge counts,
+so multiplying them by ``m`` never changes the chosen ``(a, A)``. An
+automorphism maps ``u^m`` to ``phi(u)^m``, whose cyclic reduction is
+``phi(u)``'s to the ``m``-th power, and the least rotation of ``v^m`` is
+that of ``v`` to the ``m``-th power. So the certificate is ``u``'s, the
+minimum is ``u``'s raised to the ``m``-th power, and no step reads more
+than ``|u|`` letters. The certificate replay does the same.
+
 Both routes below work on a word's support renamed onto ``x1..x_s``
 (:func:`_rename_support`), so the descent runs at the rank ``s`` of the
 word, not of the ambient group: each step builds an image table of
@@ -265,6 +278,23 @@ def _rename_support(letters):
 def _named(letters, names):
     """Renamed ``letters`` under the generators they stand for."""
     return [names[x - 1] if x > 0 else -names[-x - 1] for x in letters]
+
+
+def _primitive_root(letters):
+    """``(u, m)`` with ``letters == u * m`` and ``u`` no proper power.
+
+    Only the divisors ``d`` of the length are tried, in ascending order;
+    ``letters[d]`` is compared with the first letter before the whole
+    shift is. The least period that divides the length is the root's
+    length, as any two such periods give their gcd as one.
+    """
+    n = len(letters)
+    divisors = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    divisors += [n // d for d in reversed(divisors) if d * d != n]
+    for d in divisors[:-1]:
+        if letters[d] == letters[0] and letters[d:] == letters[:-d]:
+            return letters[:d], n // d
+    return letters, 1
 
 
 # The two support sizes, in generators, that pick how a descent step is
@@ -644,6 +674,16 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
     image freely, so its cyclic reduction only strips the letters at its
     two ends that cancel: one reduction per step.
 
+    A proper power ``u^m`` of the canonical word is descended on its root
+    ``u``, found once by trying the divisors of the length, and the last
+    word's least rotation is raised to the ``m``-th power. The Whitehead
+    graph of ``u^m`` is ``m`` times ``u``'s, and each test of the step
+    rule is homogeneous of degree one in its edge counts, so the steps
+    are ``u``'s; an automorphism maps ``u^m`` to ``phi(u)^m``, and the
+    least rotation of a power is the power of the least rotation. The
+    certificate, minimum and verdict are those of descending ``u^m``,
+    which is never primitive, and each step reads ``|u|`` letters.
+
     ``_checked`` is for :func:`is_primitive`, which has checked the rank
     and the word's support already.
     """
@@ -651,7 +691,8 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
         check_rank(rank)
         check_support(word.letters, rank)
     current = word if isinstance(word, CyclicWord) else word.cyclic()
-    letters, names = _rename_support(current.letters)
+    root, power = _primitive_root(current.letters)
+    letters, names = _rename_support(root)
     certificate = []
     while len(letters) > 1:
         step = _reducing_step(letters, names)
@@ -676,7 +717,7 @@ def whitehead_minimize(word: Word | CyclicWord, rank: int, *,
             letters, kept = _rename_support(letters)
             names = tuple(_named(kept, names))
     if certificate:
-        current = CyclicWord._from_canonical(least_rotation(_named(letters, names)))
+        current = CyclicWord._from_canonical(least_rotation(_named(letters, names)) * power)
     return PrimitivityVerdict(
         primitive=len(current) == 1,
         certificate=tuple(certificate),
@@ -955,10 +996,21 @@ def oracle_primitives(rank: int, max_len: int) -> frozenset[CyclicWord]:
 
 
 def _replay(current, certificate):
-    """The cyclic word after each certificate step from ``current``, one at a time."""
+    """The cyclic word after each certificate step from ``current``, one at a time.
+
+    A proper power ``u^m`` is replayed on its root ``u``, and each word of
+    the trail is the ``m``-th power of ``u``'s: an automorphism maps
+    ``u^m`` to ``phi(u)^m``, whose cyclic reduction is that of ``phi(u)``
+    to the ``m``-th power, and the least rotation of ``v^m`` is the least
+    rotation of ``v`` to the ``m``-th power. So a step builds an image of
+    ``|u|`` letters, not ``m`` times as many.
+    """
+    root, power = _primitive_root(current.letters)
+    if power > 1:
+        current = CyclicWord._from_canonical(root)
     for auto in certificate:
         current = apply_auto_cyclic(auto, current)
-        yield current
+        yield current if power == 1 else CyclicWord._from_canonical(current.letters * power)
 
 
 def replay_certificate(word: Word | CyclicWord, certificate) -> tuple[CyclicWord, ...]:

@@ -20,6 +20,7 @@ from disksurgery import (
     Word,
     all_surgeries,
     builtin_scenario,
+    is_primitive,
     load_scenario,
     parse_word,
     primitivity,
@@ -536,6 +537,115 @@ def test_wide_word_certificate(backend, capsys):
     # golden output is that of the full mask scan.
     assert main(["primitive", "--rank", "10", wide_word(10)]) == 0
     assert capsys.readouterr().out == (GOLDEN / "primitive_wide_rank10.txt").read_text()
+
+
+def power_roots(rng):
+    """Seeded cyclically reduced words at ranks 2-6, and ``wide_word(s)``
+    for s = 3-12, each with its rank."""
+    roots = []
+    while len(roots) < 60:
+        rank = 2 + len(roots) % 5
+        letters = random_word(rng, rank, 12, min_len=1).cyclic().letters
+        if letters:
+            roots.append((Word(letters), rank))
+    return roots + [(parse_word(wide_word(s), s), s) for s in range(3, 13)]
+
+
+class TestProperPowers:
+    """``u^m`` is descended and replayed on its root ``u``: the same
+    certificate, and ``u``'s minimum raised to the ``m``-th power."""
+
+    def test_power_descends_as_its_root(self, backend, rng):
+        checked = 0
+        for root, rank in power_roots(rng):
+            base = whitehead_minimize(root, rank)
+            for m in range(2, 6):
+                word = Word(root.letters * m)
+                got = whitehead_minimize(word, rank)
+                assert all(a is b for a, b in zip(got.certificate, base.certificate))
+                assert len(got.certificate) == len(base.certificate), (root, m)
+                assert got.minimal.letters == base.minimal.letters * m, (root, m)
+                assert not got.primitive
+                if rank <= 4 and len(word) <= 40:
+                    assert_same_descent(word, rank)
+                    checked += 1
+        assert checked > 100
+
+    def test_power_descends_as_the_whole_word(self, backend, rng, monkeypatch):
+        # The descent over every letter of u^m, as it ran before roots.
+        cases = [(Word(root.letters * m), rank)
+                 for root, rank in power_roots(rng) for m in range(2, 6)]
+        got = [whitehead_minimize(word, rank) for word, rank in cases]
+        monkeypatch.setattr(primitivity, "_primitive_root", lambda letters: (letters, 1))
+        want = [whitehead_minimize(word, rank) for word, rank in cases]
+        for (word, _), a, b in zip(cases, got, want):
+            assert a.minimal == b.minimal, word
+            assert len(a.certificate) == len(b.certificate), word
+            assert all(x is y for x, y in zip(a.certificate, b.certificate)), word
+
+    def test_power_never_primitive(self, rng):
+        for root, rank in power_roots(rng) + [(Word((1,)), 2), (Word((-3,)), 3)]:
+            for m in range(2, 6):
+                for use_oz in (True, False):
+                    assert not is_primitive(Word(root.letters * m), rank,
+                                            use_oz=use_oz).primitive
+
+    def test_no_step_reads_more_than_the_root(self, rng, monkeypatch):
+        lengths = []
+        reducing_step = primitivity._reducing_step
+
+        def counted_step(letters, names):
+            lengths.append(len(letters))
+            return reducing_step(letters, names)
+
+        monkeypatch.setattr(primitivity, "_reducing_step", counted_step)
+        for root, rank in power_roots(rng):
+            for m in range(2, 6):
+                lengths.clear()
+                whitehead_minimize(Word(root.letters * m), rank)
+                assert max(lengths, default=0) <= len(root), (root, m, lengths)
+
+    def test_replay_on_the_root(self, backend, rng, monkeypatch):
+        # Each trail word equals the image of the whole previous word, but
+        # the replay applies each step to a word no longer than the root.
+        apply_auto_cyclic = primitivity.apply_auto_cyclic
+        lengths = []
+
+        def counted_apply(auto, cyclic):
+            lengths.append(len(cyclic))
+            return apply_auto_cyclic(auto, cyclic)
+
+        for root, rank in power_roots(rng):
+            certificate = whitehead_minimize(root, rank).certificate
+            for m in range(2, 5):
+                start = Word(root.letters * m).cyclic()
+                monkeypatch.setattr(primitivity, "apply_auto_cyclic", counted_apply)
+                trail = primitivity.replay_certificate(start, certificate)
+                monkeypatch.setattr(primitivity, "apply_auto_cyclic", apply_auto_cyclic)
+                assert max(lengths, default=0) <= len(root), (root, m)
+                lengths.clear()
+                want = start
+                for auto, cyclic in zip(certificate, trail[1:]):
+                    want = primitivity.apply_auto_cyclic(auto, want)
+                    assert cyclic == want, (root, m)
+                assert len(trail) == len(certificate) + 1
+
+    def test_cube_golden(self, backend, capsys):
+        # The golden stdout is that of the descent over the whole word.
+        word = " ".join(["x1 x2 x1 x3^-1 x2"] * 3)
+        assert main(["primitive", "--rank", "3", "--no-oz", word]) == 3
+        assert capsys.readouterr().out == (GOLDEN / "primitive_power_rank3.txt").read_text()
+
+    @pytest.mark.parametrize("text,root", [
+        ("x1", None), ("x1 x1", (1,)), ("x1 x2 x1 x2 x1 x2", (1, 2)), ("x1 x2 x1 x2 x1", None),
+        ("x1 x2 x2 x1 x2 x1", None), ("x1 x2 x1 x1 x2 x1", (1, 2, 1)),
+        ("x2 x1^-1 x2 x1^-1 x2 x1^-1 x2 x1^-1", (2, -1)),
+    ])
+    def test_primitive_root(self, text, root):
+        letters = parse_word(text, 2).letters
+        u, m = primitivity._primitive_root(letters)
+        want = letters if root is None else root
+        assert (u, m) == (want, len(letters) // len(want))
 
 
 @pytest.mark.parametrize("s", [15, 40])
