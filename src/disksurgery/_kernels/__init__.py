@@ -15,6 +15,13 @@ and the pure-Python reference ``pyops``. Both export the same kernels:
   canonical cyclic form, or ``None`` without any rotation when the cyclic
   reduction is longer than ``max_len``.
 
+In ``pyops`` the least rotation of a word of at least ``_BYTE_MIN`` (48)
+letters is found by byte searches: each letter becomes its key byte in
+C, and only the starts of the longest runs of the least key are
+compared, as byte slices. Past ``_RUN_CANDIDATES`` (8) such starts, or
+for a letter outside -128..127, the two-pointer scan that shorter words
+take runs instead. Either way the result is the same.
+
 At import time the backend named by ``DISKSURGERY_KERNEL`` (``pure`` or
 ``compiled``) is loaded through :func:`load_backend`; forcing ``compiled``
 raises an ``ImportError`` that names the variable and the build command

@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 usage error, 3 not primitive (``primitive``
 subcommand), 4 scenario parse/validation failure, 5 oracle node cap or
-letter budget hit. A valid pair with no intersection arcs passes
-``validate`` (exit 0), but ``surgeries`` and ``closure`` exit 2 on it
-with ``error: surgery undefined for disjoint disks``, as surgery needs an
-arc.
+letter budget hit, 6 surgery on disjoint disks. A valid pair with no
+intersection arcs passes ``validate`` (exit 0), but ``surgeries`` and
+``closure`` exit 6 on it with ``error: surgery undefined for disjoint
+disks``, as surgery needs an arc.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .scenarios import (
     save_scenario,
 )
 from .surgery import (
+    DisjointDisksError,
     InvalidSystemError,
     _outcomes,
     validate_system,
@@ -47,6 +48,7 @@ EXIT_USAGE = 2
 EXIT_NOT_PRIMITIVE = 3
 EXIT_INVALID = 4
 EXIT_CAP = 5
+EXIT_DISJOINT = 6
 
 
 def _cmd_reduce(args) -> int:
@@ -217,6 +219,9 @@ def main(argv=None) -> int:
     except OracleCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    except DisjointDisksError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DISJOINT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

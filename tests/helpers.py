@@ -46,6 +46,18 @@ def random_word(rng: random.Random, rank: int, max_len: int, min_len: int = 0) -
     return Word(tuple(letters))
 
 
+def christoffel(p, q):
+    """Lower Christoffel word of slope q/p, as letters: p letters x1 and q
+    letters x2, the k-th an x2 when floor(kq / (p + q)) steps up.
+
+    For coprime (p, q) it is primitive and its own least rotation; the
+    runs of its more frequent letter come in two lengths. Otherwise it is
+    the gcd-th power of the coprime word.
+    """
+    n = p + q
+    return tuple(2 if k * q // n > (k - 1) * q // n else 1 for k in range(1, n + 1))
+
+
 _CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
 

@@ -226,8 +226,7 @@ class TestValidate:
 
 class TestDisjointPair:
     """A valid pair with no intersection arcs has no surgery: the commands
-    that surger it exit 2, as ``DisjointDisksError`` is a ``ValueError``,
-    and ``validate`` accepts it."""
+    that surger it exit 6, its own code, and ``validate`` accepts it."""
 
     @pytest.fixture
     def path(self, tmp_path):
@@ -236,9 +235,9 @@ class TestDisjointPair:
         return path
 
     @pytest.mark.parametrize("command", [["surgeries"], ["closure"], ["closure", "--machine"]])
-    def test_surgery_exit_two(self, capsys, path, command):
+    def test_surgery_exit_six(self, capsys, path, command):
         code, out, err = run(capsys, *command, str(path))
-        assert (code, out, err) == (2, "", "error: surgery undefined for disjoint disks\n")
+        assert (code, out, err) == (6, "", "error: surgery undefined for disjoint disks\n")
 
     def test_validate_exit_zero(self, capsys, path):
         code, out, err = run(capsys, "validate", str(path))

@@ -1,8 +1,12 @@
 """Cross-checks the pure and compiled kernel backends against each other."""
 
+import itertools
+import os
 import subprocess
 import sys
 from array import array
+from functools import partial
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -10,7 +14,9 @@ from hypothesis import given, strategies as st
 
 from disksurgery._kernels import available_backends, load_backend
 from disksurgery.primitivity import enumerate_whitehead_autos
-from helpers import SOURCE_ROOT, child_env, first_kind_generators, image_table
+from helpers import (
+    SOURCE_ROOT, child_env, christoffel, first_kind_generators, image_table, limit_cpu_and_memory,
+)
 
 pure = load_backend("pure")
 
@@ -22,10 +28,16 @@ needs_compiled = pytest.mark.skipif(
 letters = st.lists(st.integers(min_value=-4, max_value=4).filter(bool), max_size=80)
 
 
+def brute_least_start(w):
+    """First start of a least rotation, found by comparing every rotation."""
+    keys = [pure.letter_key(a) for a in w]
+    return min(range(len(keys)), key=lambda i: keys[i:] + keys[:i], default=0)
+
+
 def brute_least_rotation(w):
     w = tuple(w)
-    rotations = [w[i:] + w[:i] for i in range(len(w))] or [w]
-    return min(rotations, key=lambda r: [pure.letter_key(a) for a in r])
+    start = brute_least_start(w)
+    return w[start:] + w[:start]
 
 
 class TestLeastRotation:
@@ -58,6 +70,140 @@ class TestLeastRotation:
         for kernel in (compiled.least_rotation, compiled.canonical_cyclic):
             with pytest.raises(OverflowError):
                 kernel((1, 2**70))
+
+
+def scan_rotation(w):
+    """The rotation the scan alone picks, holding w's own letter objects."""
+    w = tuple(w)
+    start = pure._least_start(w)
+    return w[start:] + w[:start]
+
+
+def assert_byte_path_agrees(w):
+    """The byte path, called directly at any length, gives the scan's
+    start, which is the first start of a least rotation, or ``None``."""
+    w = tuple(w)
+    start = pure._byte_start(w)
+    assert start is None or start == pure._least_start(w) == brute_least_start(w), w
+    return start
+
+
+def signed(w, s1, s2):
+    return tuple(s1 * a if a == 1 else s2 * a for a in w)
+
+
+class TestBytePath:
+    """The pure kernels' byte path ``_byte_start``, which ``least_rotation``
+    and ``apply_images_canonical`` try first on words of ``_BYTE_MIN``
+    letters or more, against the scan and the brute-force rotation."""
+
+    def test_every_word_up_to_length_8(self):
+        # At most 8 runs fit, so the byte path never falls back here; CI
+        # runs lengths 9 and 10 against the scan.
+        for n in range(1, 9):
+            for w in itertools.product((1, -1, 2, -2), repeat=n):
+                assert assert_byte_path_agrees(w) is not None
+
+    @given(st.integers(min_value=2, max_value=4).flatmap(lambda rank: st.lists(
+        st.integers(min_value=-rank, max_value=rank).filter(bool), min_size=1, max_size=400)))
+    def test_random_words(self, w):
+        assert_byte_path_agrees(w)
+        assert pure.least_rotation(w) == brute_least_rotation(w)
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_christoffel_words(self, p):
+        for q in range(1, 13):
+            word = christoffel(p, q)
+            for m in (1, 2, 3):
+                for s1, s2 in itertools.product((1, -1), repeat=2):
+                    w = signed(word * m, s1, s2)
+                    for r in range(len(word)):
+                        assert_byte_path_agrees(w[r:] + w[:r])
+                    assert pure.least_rotation(w) == brute_least_rotation(w)
+            if gcd(p, q) == 1:
+                assert brute_least_rotation(word) == word
+
+    @pytest.mark.parametrize("runs", range(1, 13))
+    def test_more_than_8_longest_runs_fall_back(self, runs):
+        # `runs` starts of x1^2, one of them across the end of the word.
+        w = (1,) + (2, 1, 1) * (runs - 1) + (2, 1, 2) * 20 + (2, 1)
+        start = assert_byte_path_agrees(w)
+        assert (start is None) == (runs > 8)
+        assert pure.least_rotation(w) == brute_least_rotation(w)
+        assert pure._byte_start((1, 2) * 8) == 0 and pure._byte_start((1, 2) * 9) is None
+
+    @pytest.mark.parametrize("letter,fits", [
+        (127, True), (-127, True), (-128, True), (0, True), (True, True),
+        (128, False), (-129, False), (2**70, False), (-2**70, False), (1.0, False),
+    ])
+    def test_letter_range(self, letter, fits, rng):
+        # Ints from -128 to 127, bools among them, take the byte path;
+        # anything else falls back. least_rotation returns the scan's
+        # rotation in either case, the input's own objects included.
+        for _ in range(20):
+            # One x1^3 and no other x1, so that few runs tie.
+            w = [1, 1, 1] + [rng.choice((-1, 2, -2, 127, -127, -128)) for _ in range(57)]
+            for i in rng.sample(range(60), rng.randint(1, 4)):
+                w[i] = letter
+            assert (assert_byte_path_agrees(w) is not None) == fits
+            got = pure.least_rotation(w)
+            want = scan_rotation(w)
+            assert got == want and list(map(type, got)) == list(map(type, want))
+            assert pure.canonical_cyclic(w) == scan_rotation(pure.cyclic_reduce(w))
+
+    def test_bool_image_letters_kept(self):
+        # The pure table kernels return a bool image letter as it is; the
+        # byte path must not turn it into an int.
+        images = ((True,), (-1,), (2,), (-2,))
+        letters = (1, 2, 1, 2, 2) * 12
+        got = pure.apply_images_canonical(letters, images)
+        want = scan_rotation(pure.apply_images(letters, images))
+        assert got == want and list(map(type, got)) == list(map(type, want))
+        assert bool in set(map(type, got))
+
+    def test_long_words_take_the_byte_path(self, monkeypatch):
+        def refuse(w):
+            raise AssertionError(f"scan called on {len(w)} letters")
+
+        # Cyclically reduced, with 7 starts of x1^2.
+        w = ((1, 1, 2, -3, 2, 2, 3) * 7)[:pure._BYTE_MIN]
+        images = ((1,), (-1,), (2,), (-2,), (3,), (-3,))
+        want = brute_least_rotation(w)
+        monkeypatch.setattr(pure, "_least_start", refuse)
+        assert pure.least_rotation(w) == want
+        assert pure.canonical_cyclic(w) == brute_least_rotation(pure.cyclic_reduce(w))
+        assert pure.apply_images_canonical(w, images) == pure.canonical_cyclic(w)
+        monkeypatch.undo()
+        monkeypatch.setattr(pure, "_byte_start", refuse)
+        short = w[:-1]
+        assert pure.least_rotation(short) == brute_least_rotation(short)
+        assert pure.apply_images_canonical(short, images) == pure.canonical_cyclic(short)
+
+
+# Four 200,000-letter words, each its own least rotation, on the pure
+# backend. On the first, second and fourth the byte path meets more than
+# _RUN_CANDIDATES starts and the scan runs; on the third it compares one.
+# Comparing every run start would take 100,000 slices of 200,001 bytes.
+LONG_WORDS_PROBE = """
+import disksurgery
+from disksurgery._kernels import least_rotation
+from helpers import christoffel
+assert disksurgery.KERNEL_BACKEND == "pure"
+for w in ((1, 2) * 100000 + (2,), christoffel(123457, 76543), (1,) * 199999 + (2,),
+          (1, 1, 1, 2) * 50000 + (1, 1, 2)):
+    assert least_rotation(w) == w
+print("ok")
+"""
+
+
+def test_long_words_under_a_cpu_limit():
+    env = child_env("pure")
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), env["PYTHONPATH"]])
+    out = subprocess.run(
+        [sys.executable, "-c", LONG_WORDS_PROBE], capture_output=True, text=True, env=env,
+        preexec_fn=partial(limit_cpu_and_memory, 2), timeout=60,
+    )
+    assert (out.returncode, out.stdout) == (0, "ok\n"), out.stderr
 
 
 class TestBackendsAgree:
