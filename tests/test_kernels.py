@@ -130,7 +130,6 @@ class TestBytePath:
         start = assert_byte_path_agrees(w)
         assert (start is None) == (runs > 8)
         assert pure.least_rotation(w) == brute_least_rotation(w)
-        assert pure._byte_start((1, 2) * 8) == 0 and pure._byte_start((1, 2) * 9) is None
 
     @pytest.mark.parametrize("letter,fits", [
         (127, True), (-127, True), (-128, True), (0, True), (True, True),
