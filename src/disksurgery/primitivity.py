@@ -66,14 +66,15 @@ Two independent routes are provided and cross-checked by the test suite:
   ``x1``, restricted to a length bound, under the second-kind ``(A, a)``
   with ``a`` positive, built from ``(a, A)`` without the table. The
   closure is kept as whole orbits of the signed permutations: each new
-  orbit is added whole, by relabelling its word letter by letter and
-  taking each image's least rotation, with no free reduction (a signed
-  permutation keeps a word cyclically reduced), and one word per orbit
-  is expanded through the kernel, renamed onto ``x1..x_s``
-  for a support of ``s`` generators. It is expanded only under the
-  generators of rank ``n = min(s + 1, rank)``, those with
-  ``1 < |A| < 2*n - 1``: 4 for one support generator and 42 for two,
-  whatever the rank. Words at the bound are kept but never expanded.
+  orbit is added whole, by relabelling its word letter by letter, with
+  one least rotation per order the relabellings induce on its letters
+  and no free reduction (a signed permutation keeps a word cyclically
+  reduced), and one word per orbit is expanded through the kernel,
+  renamed onto ``x1..x_s`` for a support of ``s`` generators. It is
+  expanded only under the generators of rank ``n = min(s + 1, rank)``,
+  those with ``1 < |A| < 2*n - 1``: 4 for one support generator and 42
+  for two, whatever the rank. Words at the bound are kept but never
+  expanded.
   Whitehead's theorem makes the closure complete within the bound:
   every primitive word longer than one letter is shortened by a
   second-kind generator whose inverse acts on cyclic words as a kept
@@ -88,7 +89,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, permutations, product
+from itertools import chain, combinations, islice, permutations, product
 from operator import itemgetter
 
 from ._kernels import apply_images, apply_images_canonical, least_rotation, letter_key
@@ -802,24 +803,76 @@ def _relabellings(rank: int, size: int):
     ``2*size + 1`` letters. Slot ``i`` holds the image of ``x_i`` and slot
     ``-i``, read from the end, that of ``x_i^-1``, so a letter indexes its
     own image; slot 0 is unused.
+
+    Each map is a signed permutation of ``x1..x_size`` followed by the
+    increasing map onto a set of ``size`` targets. Table ``k * P + p``,
+    with ``P = 2**size * size!``, takes the ``k``-th set of targets and
+    the ``p``-th signed permutation: ``p >> size`` numbers its
+    permutation and bit ``size - i`` of ``p`` is set when ``x_i`` goes to
+    an inverse letter.
     """
-    for targets in permutations(range(1, rank + 1), size):
-        for letters in product(*((t, -t) for t in targets)):
-            yield (0, *letters, *[-x for x in reversed(letters)])
+    picks = [itemgetter(0, *letters, *[-x for x in reversed(letters)])
+             for order in permutations(range(1, size + 1))
+             for letters in product(*((i, -i) for i in order))]
+    for targets in combinations(range(1, rank + 1), size):
+        extended = (0, *targets, *[-x for x in reversed(targets)])
+        for pick in picks:
+            yield pick(extended)
 
 
-def _relabel(letters, tables):
+def _relabelling_groups(tables, size, mixed):
+    """``tables``, all of :func:`_relabellings` for ``size``, in groups
+    ``(first, inverse, rest)`` that each induce one order on the letters
+    of a word over ``x1..x_size`` in which the generators ``mixed``, and
+    no others, occur with both signs.
+
+    The increasing map onto the targets keeps :func:`letter_key` order,
+    so a table induces the order of its signed permutation. That order
+    compares the letters of two generators by their images' indices, and
+    ``x_i`` with ``x_i^-1`` by the sign of ``x_i``'s image, which matters
+    only for ``i`` in ``mixed``. So a group is one permutation and one
+    choice of signs on ``mixed``: ``size! * 2**len(mixed)`` groups, each
+    gathered from every ``P``-th table by slices, without looking at a
+    table. A group's ``first`` table is that of its first signed
+    permutation onto ``x1..x_size`` itself, and ``inverse`` is the table
+    of the inverse permutation.
+    """
+    count = math.factorial(size) << size
+    mask = sum(1 << (size - i) for i in mixed)
+    groups = {}
+    for p in range(count):
+        groups.setdefault((p >> size, p & mask), []).extend(tables[p::count])
+    result = []
+    for first, *rest in groups.values():
+        inverse = list(first)
+        for x in range(-size, size + 1):
+            inverse[first[x]] = x
+        result.append((first, inverse, rest))
+    return result
+
+
+def _relabel(letters, groups):
     """The canonical cyclic words of the cyclically reduced ``letters``,
-    of length at least 2, under each of the letter ``tables``
-    (:func:`_relabellings`), one at a time.
+    of length at least 2, under each letter table of ``groups``
+    (:func:`_relabelling_groups`), one at a time: a group's ``first``,
+    then its ``rest``.
 
     A signed map is injective, so ``a != -b`` gives ``s(a) != -s(b)``: the
     image of a cyclically reduced word is cyclically reduced and as long,
-    and each needs only its least rotation, no free reduction. The lookup
-    is built once for all the tables; on one letter it would return a
-    bare letter, not a tuple, hence the length.
+    and each needs only its least rotation, no free reduction. Where that
+    rotation starts depends only on the order the map induces on the
+    letters. So it is found once a group, as the least rotation of
+    ``first``'s image, which ``inverse`` maps back to a rotation ``r`` of
+    ``letters``; every other table ``t`` of the group gives ``t(r)`` by a
+    lookup alone. The lookups are built once a word or rotation; on one
+    letter they would return a bare letter, not a tuple, hence the length.
     """
-    return map(least_rotation, map(itemgetter(*letters), tables))
+    look = itemgetter(*letters)
+    for first, inverse, rest in groups:
+        word = least_rotation(look(first))
+        yield word
+        if rest:
+            yield from map(itemgetter(*itemgetter(*word)(inverse)), rest)
 
 
 def oracle_primitives(rank: int, max_len: int) -> frozenset[CyclicWord]:
@@ -840,16 +893,23 @@ def oracle_primitives(rank: int, max_len: int) -> frozenset[CyclicWord]:
       ``s`` generators is renamed onto ``x1..x_s``, in order and with its
       signs, by the renaming the descent uses (:func:`_rename_support`),
       and each injective signed map ``x1..x_s -> x1..x_rank`` is applied
-      as a letter table (:func:`_relabellings`) by :func:`_relabel`: one
-      lookup per letter, built once per orbit, then the least rotation.
-      A signed map sends a cyclically reduced word to a cyclically
-      reduced word of the same length, so nothing is reduced, stripped
-      or checked against ``max_len``. There are
-      ``2**s * rank! / (rank - s)!`` maps: 8 at rank 2 and ``s = 2``, 48
-      at rank 3 and ``s = 3``. The tables of a support size are kept for
-      the call while there are at most ``ORACLE_NODE_CAP`` of them, and
-      made one at a time otherwise. The seeds, the orbit of ``x1``, are
-      the ``2*rank`` words of length one.
+      as a letter table (:func:`_relabellings`) by :func:`_relabel`: a
+      lookup per letter, built once per orbit. A signed map sends a
+      cyclically reduced word to a cyclically reduced word of the same
+      length, so nothing is reduced, stripped or checked against
+      ``max_len``. There are ``2**s * rank! / (rank - s)!`` maps: 8 at
+      rank 2 and ``s = 2``, 48 at rank 3 and ``s = 3``. Where an image's
+      least rotation starts depends only on the order its map induces on
+      the word's letters, which is set by the order of the targets and
+      by the signs of the generators that occur with both signs
+      (:func:`_relabelling_groups`). So one least rotation per induced
+      order, mapped back to a rotation of the word, serves every map
+      that induces it: 2 for ``x1 x2`` at any rank, where there are 8
+      maps at rank 2 and 224 at rank 8. The tables of a support size,
+      and their groups for each set of letters present, are kept for the
+      call while there are at most ``ORACLE_NODE_CAP`` tables; otherwise
+      they are made one at a time, each its own group. The seeds, the
+      orbit of ``x1``, are the ``2*rank`` words of length one.
     * *Expansion.* The renamed word is the one expanded, under the
       ``n * (4**(n - 1) - 2)`` second-kind generators of rank
       ``n = min(s + 1, rank)``: 4 for ``s = 1``, 42 for ``s = 2`` and 248
@@ -910,17 +970,17 @@ def oracle_primitives(rank: int, max_len: int) -> frozenset[CyclicWord]:
 
     Intended as an independent ground truth for :func:`is_primitive` at
     small sizes. The work is one kernel call per expanded word and
-    generator of its support's rank, plus one relabelling per new orbit
-    and injective signed map of its support: a lookup per letter and a
-    least rotation. A signed permutation that fixes a cyclic word is
-    determined by the rotation it induces, so an orbit has at least one
-    word per ``max_len`` relabellings, and for a given ``max_len`` the
-    node cap bounds the work at every rank. On the pure kernels (one
-    core of a 2-core Xeon, Python 3.11, best of three in process) rank 3
-    at length 8, 32,338 words, takes about 0.18 s, rank 4 at length 7,
-    125,504 words, about 0.6 s, rank 2 at length 60 about 0.08 s, rank
-    10 at length 3 about 0.02 s and rank 40 at length 3, 167,520 words,
-    about 1.6 s.
+    generator of its support's rank, plus, per new orbit, a lookup per
+    letter for each injective signed map of its support and one least
+    rotation per order those maps induce on its letters. A signed
+    permutation that fixes a cyclic word is determined by the rotation
+    it induces, so an orbit has at least one word per ``max_len``
+    relabellings, and for a given ``max_len`` the node cap bounds the
+    work at every rank. On the pure kernels (one core of a 2-core Xeon,
+    Python 3.11, best of three in process) rank 3 at length 8, 32,338
+    words, takes about 0.13 s, rank 4 at length 7, 125,504 words, about
+    0.4 s, rank 2 at length 60 about 0.05 s, rank 10 at length 3 about
+    0.005 s and rank 40 at length 3, 167,520 words, about 0.8 s.
 
     Two bounds end the closure with :class:`OracleCapExceeded`:
 
@@ -949,16 +1009,25 @@ def oracle_primitives(rank: int, max_len: int) -> frozenset[CyclicWord]:
     if 2 * rank > cap:
         raise OracleCapExceeded(message, cap)
     canonical = apply_images_canonical
-    tables = {}
+    tables, groups = {}, {}
 
-    def relabellings(size):
-        # Kept only while there are no more of them than the cap allows
-        # words, so they take no more memory than the closure may.
-        if size not in tables:
+    def relabellings(letters, size):
+        # The groups for the letters present, shared by all sets of them
+        # with the same generators of both signs. The tables are kept only
+        # while there are no more of them than the cap allows words, so they
+        # take no more memory than the closure may; otherwise each is made,
+        # and is a group, one at a time.
+        present = frozenset(letters)
+        if present not in groups:
             if math.perm(rank, size) << size > cap:
-                return _relabellings(rank, size)
-            tables[size] = list(_relabellings(rank, size))
-        return tables[size]
+                return ((table, None, ()) for table in _relabellings(rank, size))
+            if size not in tables:
+                tables[size] = list(_relabellings(rank, size))
+            key = size, tuple(i for i in range(1, size + 1) if i in present and -i in present)
+            if key not in groups:
+                groups[key] = _relabelling_groups(tables[size], *key)
+            groups[present] = groups[key]
+        return groups[present]
 
     # The seeds: the orbit of x1, every word of length one.
     seen = {(sign * i,) for i in range(1, rank + 1) for sign in (1, -1)}
@@ -971,7 +1040,7 @@ def oracle_primitives(rank: int, max_len: int) -> frozenset[CyclicWord]:
         # the generators of rank min(s + 1, rank) for a support of s.
         renamed, names = _rename_support(image)
         before = len(seen)
-        for word in _relabel(renamed, relabellings(len(names))):
+        for word in _relabel(renamed, relabellings(renamed, len(names))):
             seen.add(word)
             if len(seen) > cap:
                 raise OracleCapExceeded(message, cap)

@@ -10,6 +10,7 @@ and the cap must fire at the same closure size.
 
 import itertools
 import math
+from collections import Counter
 import subprocess
 import sys
 from functools import partial
@@ -28,8 +29,8 @@ from disksurgery._kernels import letter_key
 from disksurgery.cli import _letter_order
 from disksurgery.primitivity import OracleCapExceeded, enumerate_whitehead_autos
 from helpers import (
-    child_env, first_kind_auto, first_kind_generators, image_table, limit_cpu_and_memory,
-    limit_memory, random_word, reference_oracle,
+    child_env, christoffel, first_kind_auto, first_kind_generators, image_table,
+    limit_cpu_and_memory, limit_memory, random_word, reference_oracle,
 )
 
 PINNED = ([(2, n) for n in range(1, 17)] + [(2, 20)] + [(3, n) for n in range(1, 7)]
@@ -45,6 +46,26 @@ def is_relabelling(images):
 @pytest.mark.parametrize("rank,max_len", PINNED)
 def test_matches_reference(backend, rank, max_len):
     assert oracle_primitives(rank, max_len) == reference_oracle(rank, max_len)
+
+
+def test_rank2_closure_is_the_christoffel_words(backend):
+    # Up to conjugacy, the primitive elements of F(x1, x2) longer than one
+    # letter are the Christoffel words of coprime (p, q), every rotation
+    # of them, with each generator given one sign (Osborne-Zieschang 1981;
+    # Cohen-Metzler-Zimmermann 1981): 4 phi(n) classes of length n. This
+    # ground truth does not depend on how the oracle relabels.
+    want = {CyclicWord((x,)) for x in (1, -1, 2, -2)}
+    for n in range(2, 61):
+        for p in range(1, n):
+            if math.gcd(p, n - p) == 1:
+                word = christoffel(p, n - p)
+                want.update(CyclicWord(tuple(a if x == 1 else b for x in word))
+                            for a, b in itertools.product((1, -1), (2, -2)))
+    closure = oracle_primitives(2, 60)
+    assert closure == want
+    counts = Counter(map(len, closure))
+    phi = [sum(math.gcd(k, n) == 1 for k in range(1, n + 1)) for n in range(2, 61)]
+    assert [counts[n] for n in range(2, 61)] == [4 * f for f in phi]
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
@@ -93,21 +114,46 @@ def orbit_representatives(words, rank):
 
 def count_relabellings(monkeypatch):
     """Patch ``primitivity._relabel`` to record each orbit it is asked
-    for: its word and the letter tables consumed, which stop short of
-    all of them when the cap fires partway through the orbit."""
+    for: its word, the letter tables consumed, which stop short of all of
+    them when the cap fires partway through the orbit, and the words
+    given to ``least_rotation`` while it is relabelled."""
     orbits = []
-    relabel = primitivity._relabel
+    relabel, rotate = primitivity._relabel, primitivity.least_rotation
 
-    def counted(letters, tables):
-        used = []
-        orbits.append((letters, used))
-        return relabel(letters, (used.append(table) or table for table in tables))
+    def counted(letters, groups):
+        used, rotated = [], []
+        orbits.append((letters, used, rotated))
+
+        def recorded(tables):
+            for table in tables:
+                used.append(table)
+                yield table
+
+        return relabel(letters, ((used.append(first) or first, inverse,
+                                  recorded(rest) if rest else rest)
+                                 for first, inverse, rest in groups))
+
+    def rotation(letters):
+        orbits[-1][2].append(letters)
+        return rotate(letters)
 
     monkeypatch.setattr(primitivity, "_relabel", counted)
+    monkeypatch.setattr(primitivity, "least_rotation", rotation)
     return orbits
 
 
-@pytest.mark.parametrize("rank,max_len", [(2, 12), (3, 4), (3, 1), (5, 3)])
+def mixed_generators(letters):
+    return tuple(sorted({abs(x) for x in letters if -x in letters}))
+
+
+def induced_orders(letters):
+    """The orders that the injective signed maps induce on the letters of
+    a word whose support is x1..x_s: one per permutation of the
+    generators and choice of signs on those that occur with both."""
+    return math.factorial(max(map(abs, letters))) << len(mixed_generators(letters))
+
+
+@pytest.mark.parametrize("rank,max_len", [(2, 12), (3, 4), (3, 1), (5, 3), (8, 2)])
 def test_work_is_expanded_words_times_generators(rank, max_len, monkeypatch):
     # One word per signed-permutation orbit is expanded, under the
     # n * (4**(n - 1) - 2) generators of rank n = min(s + 1, rank) for a
@@ -135,8 +181,16 @@ def test_work_is_expanded_words_times_generators(rank, max_len, monkeypatch):
     # injective signed map of its support; the seeds, every word of
     # length one, are added without any.
     assert len(orbits) == len(supports) - 1
-    assert sum(len(used) for _, used in orbits) == \
+    assert sum(len(used) for _, used, _ in orbits) == \
         sum(math.perm(rank, s) << s for length, s in supports if length > 1)
+    # One least rotation per order the maps induce on the orbit's word,
+    # of the word's image under the first table of its group.
+    for letters, used, rotated in orbits:
+        assert len(rotated) == induced_orders(letters)
+        assert set(rotated) <= {tuple(table[x] for x in letters) for table in used}
+    if (rank, max_len) == (8, 2):
+        [(letters, used, rotated)] = orbits
+        assert (letters, len(used), len(rotated)) == ((1, 2), 224, 2)
 
 
 def letter_images(table):
@@ -160,18 +214,48 @@ def test_relabellings_are_the_signed_maps_of_a_support(rank):
         assert {letter_images(table) for table in tables} == {images[:2 * size] for images in whole}
 
 
+def induced_order(table, letters):
+    return sorted(set(letters), key=lambda x: letter_key(table[x]))
+
+
+@pytest.mark.parametrize("rank,size", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (5, 2)])
+def test_groups_are_the_induced_orders(rank, size):
+    # For every set of generators that occur with both signs, the groups
+    # hold every table once, one group per induced order: the tables of a
+    # group induce one order on the letters, and two groups two orders.
+    tables = list(primitivity._relabellings(rank, size))
+    for count in range(size + 1):
+        for mixed in itertools.combinations(range(1, size + 1), count):
+            letters = [*range(1, size + 1), *(-i for i in mixed)]
+            groups = primitivity._relabelling_groups(tables, size, mixed)
+            assert len(groups) == math.factorial(size) << count
+            assert sorted(t for first, _, rest in groups for t in (first, *rest)) == sorted(tables)
+            orders = []
+            for first, inverse, rest in groups:
+                # The first table is a signed permutation of x1..x_size.
+                assert sorted(map(abs, first[1:size + 1])) == list(range(1, size + 1))
+                slots = range(-size, size + 1)
+                assert [inverse[first[x]] for x in slots] == list(slots)
+                order = induced_order(first, letters)
+                assert all(induced_order(table, letters) == order for table in rest)
+                orders.append(order)
+            assert len(set(map(tuple, orders))) == len(groups)
+
+
 def test_cap_fires_inside_an_orbit(monkeypatch):
     # The first new orbit at rank 8 is that of x1 x2: 112 words from 224
     # maps. With 16 seeds and a cap of 100, the check must fire partway
-    # through it, not after it.
+    # through it, not after it. A cap below the 224 tables also makes
+    # them one at a time, each its own group with its own least rotation.
     orbits = count_relabellings(monkeypatch)
     monkeypatch.setattr(primitivity, "ORACLE_NODE_CAP", 100)
     with pytest.raises(OracleCapExceeded, match="exceeded 100 canonical words"):
         oracle_primitives(8, 2)
-    [(letters, used)] = orbits
+    [(letters, used, rotated)] = orbits
     assert letters == (1, 2)
     assert {len(table) for table in used} == {5}
     assert 85 <= len(used) < math.perm(8, 2) << 2
+    assert rotated == [tuple(table[x] for x in letters) for table in used]
 
 
 @settings(max_examples=200, deadline=None,
@@ -180,17 +264,22 @@ def test_cap_fires_inside_an_orbit(monkeypatch):
     st.just(rank), st.lists(st.integers(-rank, rank).filter(bool), min_size=2, max_size=30))),
     st.randoms(use_true_random=False))
 def test_relabel_is_the_kernel_on_single_letter_tables(backend, case, rand):
-    # On a cyclically reduced word over x1..x_s, a letter table gives the
-    # kernel's canonical image under the equivalent single-letter table.
+    # On a cyclically reduced word over x1..x_s, each letter table of each
+    # group gives the kernel's canonical image under the equivalent
+    # single-letter table, though only a group's first table is rotated.
+    # The words have mixed signs, letters without their inverses, and
+    # generators missing from the support.
     rank, letters = case
     letters = primitivity.cyclic_reduce(letters)
     assume(len(letters) > 1)
     size = max(map(abs, letters))
     tables = list(primitivity._relabellings(rank, size))
-    tables = rand.sample(tables, min(len(tables), 8))
-    got = list(primitivity._relabel(letters, tables))
+    groups = primitivity._relabelling_groups(tables, size, mixed_generators(letters))
+    groups = [(first, inverse, rand.sample(rest, min(len(rest), 3)))
+              for first, inverse, rest in rand.sample(groups, min(len(groups), 4))]
+    got = list(primitivity._relabel(letters, groups))
     assert got == [primitivity.apply_images_canonical(letters, letter_images(table))
-                   for table in tables]
+                   for first, _, rest in groups for table in (first, *rest)]
 
 
 def test_letter_budget_raises_past_its_constant(monkeypatch):
